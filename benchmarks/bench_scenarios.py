@@ -2,9 +2,8 @@
 
 For each scenario in the :mod:`repro.workload.scenarios` registry this
 driver builds the world at the canonical matrix point (seed 7, 1/2000,
-no ccTLD), twice — ``jobs=1`` and ``jobs=2`` — and asserts the two
-fingerprints agree; runs the five-step pipeline plus the standing
-observer suite; and checks the scenario's
+no ccTLD) and fingerprints it; runs the five-step pipeline plus the
+standing observer suite; and checks the scenario's
 :data:`~repro.obs.observers.SCENARIO_EXPECTATIONS` row (which anomaly
 detectors must fire, which must stay quiet).  The committed
 ``benchmarks/BENCH_scenarios.json`` pins one fingerprint golden per
@@ -19,8 +18,8 @@ goldens at the canonical point)::
     PYTHONPATH=src python benchmarks/bench_scenarios.py --scenario baseline
 
 ``--check-baseline`` compares every fingerprint against the committed
-goldens and fails on any mismatch, any jobs=1 ≢ jobs=2 divergence, any
-unmet observer expectation, or a total wall time above ``--budget-sec``
+goldens and fails on any mismatch, any unmet observer expectation, or
+a total wall time above ``--budget-sec``
 (the CI scenario-matrix job runs this; the budget keeps the matrix
 under the bench-smoke wall time).
 """
@@ -48,7 +47,7 @@ from repro.workload.scenario import (
 from repro.workload.scenarios import parse_scenario_spec, scenario_names
 
 #: The canonical matrix point: small enough that the full six-scenario
-#: matrix (12 builds + 6 pipelines) stays under the bench-smoke budget.
+#: matrix (6 builds + 6 pipelines) stays under the bench-smoke budget.
 INV_SCALE = 2000
 SEED = 7
 
@@ -62,8 +61,8 @@ BUDGET_SEC = 120.0
 
 def run_scenario(name: str, knobs: Optional[Dict[str, float]] = None,
                  inv_scale: int = INV_SCALE, seed: int = SEED,
-                 jobs_proof: bool = True, pipeline: bool = True) -> dict:
-    """One scenario through the full gauntlet: build, prove, observe."""
+                 pipeline: bool = True) -> dict:
+    """One scenario through the full gauntlet: build, fingerprint, observe."""
     entry: dict = {"scenario": name, "seed": seed, "inv_scale": inv_scale}
     start = time.perf_counter()
     config = ScenarioConfig(seed=seed, scale=1.0 / inv_scale,
@@ -73,16 +72,6 @@ def run_scenario(name: str, knobs: Optional[Dict[str, float]] = None,
     entry["build_sec"] = round(time.perf_counter() - start, 4)
     entry["registrations"] = world.registries.total_registrations()
     entry["fingerprint"] = world_fingerprint(world)
-    if jobs_proof:
-        start = time.perf_counter()
-        parallel = build_world(
-            ScenarioConfig(seed=seed, scale=1.0 / inv_scale,
-                           include_cctld=False, parallel=2,
-                           scenario=name, scenario_knobs=knobs or {}))
-        entry["jobs2_build_sec"] = round(time.perf_counter() - start, 4)
-        entry["jobs2_fingerprint"] = world_fingerprint(parallel)
-        entry["jobs_proof_ok"] = (entry["jobs2_fingerprint"]
-                                  == entry["fingerprint"])
     if pipeline:
         start = time.perf_counter()
         result = run_pipeline(world)
@@ -99,8 +88,7 @@ def run_scenario(name: str, knobs: Optional[Dict[str, float]] = None,
 
 
 def run_matrix(inv_scale: int = INV_SCALE, seed: int = SEED,
-               jobs_proof: bool = True, pipeline: bool = True,
-               only: Optional[str] = None) -> dict:
+               pipeline: bool = True, only: Optional[str] = None) -> dict:
     """The full matrix: every registered scenario plus the seed sweep."""
     start = time.perf_counter()
     report: dict = {"inv_scale": inv_scale, "seed": seed, "scenarios": {}}
@@ -108,8 +96,7 @@ def run_matrix(inv_scale: int = INV_SCALE, seed: int = SEED,
         if only is not None and name != only:
             continue
         report["scenarios"][name] = run_scenario(
-            name, inv_scale=inv_scale, seed=seed,
-            jobs_proof=jobs_proof, pipeline=pipeline)
+            name, inv_scale=inv_scale, seed=seed, pipeline=pipeline)
     if only is None or only == "baseline":
         sweep = {}
         for sweep_seed in SWEEP_SEEDS:
@@ -144,10 +131,6 @@ def check_matrix(report: dict, committed: dict,
             problems.append(
                 f"{name}: fingerprint {entry['fingerprint']} != committed "
                 f"{golden} — scenario sampling was perturbed")
-        if not entry.get("jobs_proof_ok", True):
-            problems.append(
-                f"{name}: jobs=1 fingerprint {entry['fingerprint']} != "
-                f"jobs=2 {entry['jobs2_fingerprint']}")
         for problem in entry.get("expectation_problems", []):
             problems.append(f"{name}: {problem}")
     for missing in sorted(set(want) - set(report["scenarios"])):
@@ -173,7 +156,6 @@ def test_scenario_matrix(bench_baseline):
     print()
     print(json.dumps(report, indent=2, sort_keys=True))
     for name, entry in report["scenarios"].items():
-        assert entry.get("jobs_proof_ok", True), name
         assert not entry.get("expectation_problems"), name
     bench_baseline("scenarios", report)
 
@@ -187,8 +169,6 @@ def main() -> None:
                         help="run one scenario instead of the matrix "
                              "(knob overrides allowed; overridden runs "
                              "never touch the committed goldens)")
-    parser.add_argument("--no-jobs-proof", action="store_true",
-                        help="skip the jobs=2 rebuild per scenario")
     parser.add_argument("--no-pipeline", action="store_true",
                         help="build + fingerprint only (skips observers "
                              "and expectation checks)")
@@ -209,16 +189,13 @@ def main() -> None:
         if knobs:
             report = run_scenario(name, knobs,
                                   inv_scale=args.inv_scale, seed=args.seed,
-                                  jobs_proof=not args.no_jobs_proof,
                                   pipeline=not args.no_pipeline)
             print(json.dumps(report, indent=2, sort_keys=True))
             return
         report = run_matrix(inv_scale=args.inv_scale, seed=args.seed,
-                            jobs_proof=not args.no_jobs_proof,
                             pipeline=not args.no_pipeline, only=name)
     else:
         report = run_matrix(inv_scale=args.inv_scale, seed=args.seed,
-                            jobs_proof=not args.no_jobs_proof,
                             pipeline=not args.no_pipeline)
     print(json.dumps(report, indent=2, sort_keys=True))
 
@@ -236,7 +213,7 @@ def main() -> None:
         print("scenario matrix ok")
     elif (not args.no_baseline and args.scenario is None
           and args.inv_scale == INV_SCALE and args.seed == SEED
-          and not args.no_jobs_proof and not args.no_pipeline):
+          and not args.no_pipeline):
         from conftest import write_baseline
         write_baseline("scenarios", report)
 

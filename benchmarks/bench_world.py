@@ -14,7 +14,6 @@ Run standalone for the JSON report (also written to
     PYTHONPATH=src python benchmarks/bench_world.py                 # 1/500
     PYTHONPATH=src python benchmarks/bench_world.py --inv-scale 200
     PYTHONPATH=src python benchmarks/bench_world.py --inv-scale 1 --pipeline
-    PYTHONPATH=src python benchmarks/bench_world.py --jobs 4        # multi-core
 
 ``--check-baseline`` compares the measured build time against the
 committed ``BENCH_worldgen.json`` and exits non-zero on a >2x
@@ -63,15 +62,11 @@ SEED_BASELINE = {"inv_scale": 500, "seed": 7, "build_sec": 2.317,
 def run_build(inv_scale: int = INV_SCALE, seed: int = SEED,
               include_cctld: bool = False, pipeline: bool = False,
               fingerprint: bool = True, rounds: int = 1,
-              jobs: int = 1, fault_plan: Optional[str] = None,
-              max_shard_retries: int = 2,
               scenario: Optional[str] = None) -> dict:
     scenario_name, scenario_knobs = (parse_scenario_spec(scenario)
                                      if scenario else (None, {}))
     config = ScenarioConfig(seed=seed, scale=1.0 / inv_scale,
-                            include_cctld=include_cctld, parallel=jobs,
-                            fault_plan=fault_plan,
-                            max_shard_retries=max_shard_retries,
+                            include_cctld=include_cctld,
                             scenario=scenario_name,
                             scenario_knobs=scenario_knobs)
     build_sec = None
@@ -88,8 +83,6 @@ def run_build(inv_scale: int = INV_SCALE, seed: int = SEED,
         "inv_scale": inv_scale,
         "seed": seed,
         "include_cctld": include_cctld,
-        "jobs": jobs,
-        "fault_plan": fault_plan,
         "scenario": scenario,
         "registrations": regs,
         "certstream_events": world.certstream.event_count(),
@@ -107,7 +100,7 @@ def run_build(inv_scale: int = INV_SCALE, seed: int = SEED,
                        tracer().phase_totals().items())
                    if phase.startswith("build.")},
     }
-    if (jobs == 1 and SEED_BASELINE["inv_scale"] == inv_scale
+    if (SEED_BASELINE["inv_scale"] == inv_scale
             and SEED_BASELINE["seed"] == seed
             and SEED_BASELINE["include_cctld"] == include_cctld):
         report["seed_build_sec"] = SEED_BASELINE["build_sec"]
@@ -134,72 +127,9 @@ def run_build(inv_scale: int = INV_SCALE, seed: int = SEED,
     return report
 
 
-def run_jobs_sweep(jobs_list, inv_scale: int = INV_SCALE, seed: int = SEED,
-                   include_cctld: bool = False, rounds: int = 1) -> dict:
-    """Scaling sweep: the same build at each ``--jobs`` value.
-
-    For every entry the sweep records the best-of-``rounds`` wall time
-    plus, for multi-core runs, the two health numbers of the
-    per-``(tld, month)`` shard layout:
-
-    * ``parallel_efficiency`` — ``T1 / (N * TN)`` with ``N`` the
-      *resolved* worker count (``--jobs 0`` resolves to the core
-      count), read from the ``build.merge_shards`` span labels.  1.0 is
-      perfect linear scaling; the CI gate holds jobs=2 above 0.7.
-    * ``straggler_ratio`` — the widest single ``build.populate_shard``
-      span over the merge-phase elapsed wall.  Under the old per-TLD
-      layout the ``.com`` shard alone was ≈0.9 of the build; with
-      per-month shards the acceptance bound is < 0.5.
-
-    Every serial/parallel pair is also a determinism probe: the sweep
-    asserts all fingerprints agree before reporting timings.
-    """
-    sweep = {"inv_scale": inv_scale, "seed": seed,
-             "include_cctld": include_cctld, "runs": []}
-    t1 = None
-    fingerprints = set()
-    for jobs in jobs_list:
-        best = None
-        for _ in range(max(1, rounds)):
-            tracer().reset()
-            config = ScenarioConfig(seed=seed, scale=1.0 / inv_scale,
-                                    include_cctld=include_cctld,
-                                    parallel=jobs)
-            start = time.perf_counter()
-            world = build_world(config)
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        fingerprints.add(world_fingerprint(world))
-        run = {"jobs": jobs, "build_sec": round(best, 4)}
-        merge = [s for s in tracer().spans
-                 if s.name == "build.merge_shards"]
-        if merge:
-            resolved = int(merge[0].labels["jobs"])
-            populate = [s.wall_sec for s in tracer().spans
-                        if s.name == "build.populate_shard"]
-            run["resolved_jobs"] = resolved
-            if populate and merge[0].wall_sec > 0:
-                run["max_shard_sec"] = round(max(populate), 4)
-                run["straggler_ratio"] = round(
-                    max(populate) / merge[0].wall_sec, 3)
-            if t1 is not None and resolved > 0:
-                run["parallel_efficiency"] = round(
-                    t1 / (resolved * best), 3)
-            run["speedup"] = round(t1 / best, 2) if t1 else None
-        elif jobs == 1:
-            t1 = best
-        sweep["runs"].append(run)
-    if len(fingerprints) > 1:
-        raise SystemExit(f"jobs sweep fingerprints diverged: "
-                         f"{sorted(fingerprints)}")
-    sweep["fingerprint"] = next(iter(fingerprints))
-    return sweep
-
-
 def measure_span_overhead(inv_scale: int = INV_SCALE, seed: int = SEED,
                           include_cctld: bool = False,
-                          rounds: int = 3, jobs: int = 1) -> dict:
+                          rounds: int = 3) -> dict:
     """Cost of the instrumentation on the build, best-of-``rounds``.
 
     Three timings of the identical build: process tracer disabled
@@ -212,7 +142,7 @@ def measure_span_overhead(inv_scale: int = INV_SCALE, seed: int = SEED,
     negative "speedup" from jitter.
     """
     config = ScenarioConfig(seed=seed, scale=1.0 / inv_scale,
-                            include_cctld=include_cctld, parallel=jobs)
+                            include_cctld=include_cctld)
 
     def build_sec() -> float:
         tracer().reset()
@@ -322,25 +252,6 @@ def main() -> None:
                         help="build repeats, best-of-N timing (default 1; "
                              "3 under --check-baseline so noisy runners "
                              "time a warm build)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for world generation "
-                             "(default 1 = serial, 0 = one per core; the "
-                             "fingerprint is identical for any value)")
-    parser.add_argument("--jobs-sweep", metavar="LIST", default=None,
-                        help="comma-separated jobs values (e.g. 1,2,4,0) "
-                             "to build at in sequence; reports per-jobs "
-                             "wall time, parallel_efficiency (T1/(N*TN)) "
-                             "and straggler_ratio (widest shard span / "
-                             "merge elapsed), and asserts every run's "
-                             "fingerprint agrees")
-    parser.add_argument("--fault-plan", metavar="SPEC", default=None,
-                        help="deterministic fault-injection plan for the "
-                             "measured build (CI chaos smoke: the "
-                             "fingerprint must survive injected worker "
-                             "crashes; see docs/resilience.md)")
-    parser.add_argument("--max-shard-retries", type=int, default=2,
-                        help="per-shard retry budget under --fault-plan "
-                             "(default 2)")
     parser.add_argument("--scenario", metavar="SPEC", default=None,
                         help="build a scenario world (name, optionally "
                              "with knob overrides, e.g. 'registrar-burst:"
@@ -365,8 +276,6 @@ def main() -> None:
     report = run_build(inv_scale=args.inv_scale, seed=args.seed,
                        include_cctld=args.cctld, pipeline=args.pipeline,
                        fingerprint=not args.no_fingerprint, rounds=rounds,
-                       jobs=args.jobs, fault_plan=args.fault_plan,
-                       max_shard_retries=args.max_shard_retries,
                        scenario=args.scenario)
     if profiler is not None:
         profiler.stop()
@@ -379,25 +288,16 @@ def main() -> None:
     if args.span_overhead:
         report.update(measure_span_overhead(
             inv_scale=args.inv_scale, seed=args.seed,
-            include_cctld=args.cctld, rounds=max(6, rounds),
-            jobs=args.jobs))
-    if args.jobs_sweep:
-        jobs_list = [int(j) for j in args.jobs_sweep.split(",") if j != ""]
-        report["jobs_sweep"] = run_jobs_sweep(
-            jobs_list, inv_scale=args.inv_scale, seed=args.seed,
-            include_cctld=args.cctld, rounds=rounds)["runs"]
+            include_cctld=args.cctld, rounds=max(6, rounds)))
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.check_baseline:
         # Imported lazily: conftest pulls in pytest only when present.
         from conftest import BASELINE_DIR, check_against_baseline
-        # Timing compares only at the committed measurement point (which
-        # includes the jobs count); the fingerprint check below runs for
-        # ANY --jobs value at the canonical scale — multi-core builds
-        # must reproduce the committed digest bit for bit.
+        # Timing and fingerprint compare only at the committed
+        # measurement point.
         problems = check_against_baseline(
             "worldgen", report, lower_is_better=("build_sec",),
-            scale_keys=("inv_scale", "seed", "include_cctld", "jobs",
-                        "scenario"))
+            scale_keys=("inv_scale", "seed", "include_cctld", "scenario"))
         committed_path = BASELINE_DIR / "BENCH_worldgen.json"
         same_point = False
         if committed_path.exists():
@@ -421,7 +321,6 @@ def main() -> None:
             "inv_scale": args.inv_scale,
             "seed": args.seed,
             "include_cctld": args.cctld,
-            "jobs": args.jobs,
             "scenario": args.scenario,
             "build_sec": report["build_sec"],
             "registrations_per_sec": report["registrations_per_sec"],
@@ -430,8 +329,6 @@ def main() -> None:
             "fingerprint": report.get("fingerprint"),
             "ok": not problems,
         }
-        if "jobs_sweep" in report:
-            record["jobs_sweep"] = report["jobs_sweep"]
         append_trend(record)
         if problems:
             print("\n".join(problems), file=sys.stderr)
@@ -442,7 +339,7 @@ def main() -> None:
         else:
             print("baseline check ok")
     elif (not args.no_baseline and args.inv_scale == INV_SCALE
-          and args.seed == SEED and not args.cctld and args.jobs == 1
+          and args.seed == SEED and not args.cctld
           and args.scenario is None):
         # Only the canonical measurement point may refresh the committed
         # baseline — the same point the CI check gates on.  The profile

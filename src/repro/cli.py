@@ -65,6 +65,7 @@ from repro.obs.log import get_logger, router
 from repro.obs.metrics import get_registry
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.progress import Heartbeat
+from repro.resilience.faults import FaultPlan
 from repro.scan import ProbeResultStore, ScanConfig, ScanEngine
 from repro.serve import FeedServer, FeedServerConfig, FilterSpec
 from repro.simtime.clock import DAY, Window, parse_duration
@@ -96,17 +97,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0, rejected with a clean message."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {value}")
-    return value
-
-
 def _add_world_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7,
                         help="master seed (default 7)")
@@ -115,21 +105,6 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
                         help="run at 1/N of the paper's volumes (default 500)")
     parser.add_argument("--no-cctld", action="store_true",
                         help="skip the .nl ground-truth registry")
-    parser.add_argument("--jobs", type=_nonnegative_int, default=1,
-                        metavar="N",
-                        help="worker processes for world generation "
-                             "(default 1 = serial, 0 = one per core; the "
-                             "built world is bit-identical for any value)")
-    parser.add_argument("--fault-plan", metavar="SPEC", default=None,
-                        help="deterministic fault-injection plan: a JSON "
-                             "object/file path or a CLI spec like "
-                             "'seed=7;worker.crash:rate=0.5,fires=1' "
-                             "(see docs/resilience.md; default: no faults)")
-    parser.add_argument("--max-shard-retries", type=_nonnegative_int,
-                        default=2, metavar="N",
-                        help="per-shard retry budget for crashed/overdue "
-                             "build workers before serial fallback "
-                             "(default 2)")
     parser.add_argument("--scenario", metavar="SPEC", default=None,
                         help="build a scenario world: a registered name, "
                              "optionally with knob overrides, e.g. "
@@ -151,10 +126,15 @@ def _world_from(args: argparse.Namespace, cctld_scale: Optional[float] = None):
         seed=args.seed, scale=1 / args.scale,
         include_cctld=not args.no_cctld,
         cctld_scale=cctld_scale,
-        parallel=args.jobs,
-        fault_plan=args.fault_plan,
-        max_shard_retries=args.max_shard_retries,
         scenario=scenario, scenario_knobs=knobs))
+
+
+def _add_fault_plan(parser: argparse.ArgumentParser, example: str) -> None:
+    parser.add_argument("--fault-plan", metavar="SPEC", default=None,
+                        help="deterministic fault-injection plan: a JSON "
+                             "object/file path or a CLI spec like "
+                             f"'{example}' (see docs/resilience.md; "
+                             "default: no faults)")
 
 
 def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
@@ -261,7 +241,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = ScenarioConfig(
         seed=args.seed, scale=1 / args.scale, include_cctld=False,
         tlds=["com", "net", "xyz", "online", "site", "top"],
-        parallel=args.jobs,
         scenario=scenario, scenario_knobs=knobs)
     points = rzu_sweep(config, DEFAULT_CADENCES)
     print(rzu_report(points).render())
@@ -296,10 +275,11 @@ def _register_serve_clients(server: FeedServer, args: argparse.Namespace,
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    # Parse the fault plan before paying for the world build.
     config = FeedServerConfig(shards=args.shards,
                               max_queue_depth=args.queue_depth,
                               max_segment_records=args.segment_records,
-                              fault_plan=args.fault_plan)
+                              fault_plan=FaultPlan.parse(args.fault_plan))
 
     if args.replay:
         server = FeedServer(config=config)
@@ -471,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="simulated time between client polls "
                               "during live replay (default 3600)")
+    _add_fault_plan(p_serve, "seed=7;serve.stall:rate=0.5")
     _add_metrics_out(p_serve)
     _add_obs_args(p_serve)
     p_serve.set_defaults(func=cmd_serve)
@@ -503,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="terminate never-resolved domains after K "
                              "consecutive NXDOMAIN instants "
                              "(default: keep probing)")
+    _add_fault_plan(p_scan, "seed=7;scan.servfail:rate=0.5,fires=1")
     _add_metrics_out(p_scan)
     _add_obs_args(p_scan)
     p_scan.set_defaults(func=cmd_scan)

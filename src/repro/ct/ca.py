@@ -196,10 +196,9 @@ def ca_index_sampler(count: Optional[int] = None,
         A :class:`~repro.simtime.rng.WeightedSampler` whose ``pick``
         consumes one draw and yields an index — draw-identical to
         sampling the CA objects directly, but the sampler (and its
-        picks) contain no CA state, so worker processes can decide
-        "which CA holds this DV token" without holding a CA: indices
-        travel as plain ints and the parent resolves them against its
-        live CA list.
+        picks) contain no CA state, so world generation can decide
+        "which CA holds this DV token" without holding a CA: the
+        builder resolves the index against its live CA list.
     """
     n = len(profiles) if count is None else count
     return WeightedSampler(range(n), [p.market_share for p in profiles[:n]])

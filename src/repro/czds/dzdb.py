@@ -10,7 +10,7 @@ per-domain first/last-seen dates accumulated from years of zone files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional
 
 from repro.dnscore.interned import Name, intern_name
 from repro.errors import ConfigError
@@ -62,33 +62,6 @@ class DZDB:
         """Bulk-load a known presence interval (scenario seeding)."""
         self.observe(domain, first_seen)
         self.observe(domain, last_seen)
-
-    def export_rows(self) -> List[Tuple[str, int, int]]:
-        """Flatten the index into ``(domain, first_seen, last_seen)`` rows.
-
-        The picklable wire form used when a worker-private DZDB is
-        merged into the scenario's shared one (see :meth:`merge_rows`).
-        """
-        return [(r.domain, r.first_seen, r.last_seen)
-                for r in self._records.values()]
-
-    def merge_rows(self, rows: Iterable[Tuple[str, int, int]]) -> None:
-        """Fold exported rows into this index, widening intervals.
-
-        Observation order never matters to a record's final state (it
-        is the min/max envelope of all sightings), so merging per-TLD
-        worker indexes in any order reproduces a serial build exactly.
-        """
-        records = self._records
-        for domain, first_seen, last_seen in rows:
-            norm = domain if type(domain) is Name else intern_name(domain)
-            found = records.get(norm)
-            if found is None:
-                records[norm] = HistoricalRecord(norm, first_seen, last_seen)
-            else:
-                records[norm] = HistoricalRecord(
-                    norm, min(found.first_seen, first_seen),
-                    max(found.last_seen, last_seen))
 
     def lookup(self, domain: str) -> Optional[HistoricalRecord]:
         if type(domain) is not Name:

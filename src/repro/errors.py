@@ -146,7 +146,7 @@ class ScanError(ReproError):
 
 
 # --------------------------------------------------------------------------
-# Resilience (fault injection, supervision, breakers, crash safety)
+# Resilience (fault injection, breakers, crash safety)
 # --------------------------------------------------------------------------
 
 class ResilienceError(ReproError):
@@ -156,15 +156,6 @@ class ResilienceError(ReproError):
     line on stderr and exit code 2 (``repro.cli.main`` catches
     :class:`ReproError`), never a traceback.
     """
-
-
-class WorkerCrashError(ResilienceError):
-    """A build worker process died (or an injected fault killed it)."""
-
-
-class ShardRetryExhausted(ResilienceError):
-    """A build shard failed every supervised retry and the in-process
-    serial fallback was disabled (or failed too)."""
 
 
 class CircuitOpenError(ResilienceError):

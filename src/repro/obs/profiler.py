@@ -26,23 +26,10 @@ Design constraints, matching the rest of ``repro.obs``:
 * **cheap** — one ``sys._current_frames()`` call and a frame walk per
   sample.  At the default 10 ms interval (100 Hz, py-spy's default)
   the measured overhead on the 1/500 build stays under the 5 %
-  acceptance budget even with every worker of a multi-core build
-  sampling itself (``bench_world.py --span-overhead`` reports it);
+  acceptance budget (``bench_world.py --span-overhead`` reports it);
 * **idempotent** — :meth:`start` on a running profiler and
   :meth:`stop` on a stopped one are no-ops, so CLI wiring never has to
   track profiler state.
-
-Cross-process stitching: worker processes of the multi-core build run
-their own profiler over their own tracer and ship
-:meth:`export_counts` back in the shard payload; the parent folds them
-in with :meth:`merge_counts`, so the collapsed output covers the whole
-build no matter which process executed a phase.  When the pool
-oversubscribes the machine (jobs > cores) the scenario layer scales
-the workers' interval by the oversubscription factor, keeping sample
-density — and overhead — per CPU-second constant.  :func:`active`
-exposes the most recently started profiler so the scenario layer can
-discover whether a build is being profiled without threading a handle
-through every call site.
 """
 
 from __future__ import annotations
@@ -50,17 +37,14 @@ from __future__ import annotations
 import sys
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.spans import Tracer, tracer
 
-__all__ = ["SamplingProfiler", "active", "profiling"]
+__all__ = ["SamplingProfiler", "profiling"]
 
 #: Phase label for samples taken outside any active span.
 UNATTRIBUTED = "(unattributed)"
-
-#: The most recently started (and not yet stopped) profiler.
-_ACTIVE: Optional["SamplingProfiler"] = None
 
 
 def _frame_name(frame) -> str:
@@ -98,7 +82,7 @@ class SamplingProfiler:
         #: collapsed stack (phase-rooted, ";"-joined) -> sample count.
         self._counts: Dict[str, int] = {}
         #: Guards _counts: the sampler thread increments while the main
-        #: thread may be merging a worker's counts mid-build.
+        #: thread may be reading the output mid-run.
         self._lock = threading.Lock()
         self.samples = 0
         self._thread: Optional[threading.Thread] = None
@@ -112,21 +96,16 @@ class SamplingProfiler:
 
     def start(self) -> "SamplingProfiler":
         """Start the sampling thread (no-op if already running)."""
-        global _ACTIVE
         if self.running:
             return self
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._run, name="repro-profiler", daemon=True)
         self._thread.start()
-        _ACTIVE = self
         return self
 
     def stop(self) -> "SamplingProfiler":
         """Stop sampling and join the thread (no-op if not running)."""
-        global _ACTIVE
-        if _ACTIVE is self:
-            _ACTIVE = None
         thread = self._thread
         if thread is None:
             return self
@@ -154,27 +133,6 @@ class SamplingProfiler:
         with self._lock:
             self._counts[key] = self._counts.get(key, 0) + 1
             self.samples += 1
-
-    # -- cross-process merge --------------------------------------------------
-
-    def export_counts(self) -> List[Tuple[str, int]]:
-        """The raw ``(collapsed stack, count)`` pairs, pickle-safe.
-
-        The worker half of profile stitching: a shard result carries
-        this list back to the parent for :meth:`merge_counts`.
-        """
-        with self._lock:
-            return sorted(self._counts.items())
-
-    def merge_counts(self, counts: Iterable[Tuple[str, int]]) -> int:
-        """Fold another profiler's exported counts into this one."""
-        merged = 0
-        with self._lock:
-            for key, n in counts:
-                self._counts[key] = self._counts.get(key, 0) + n
-                self.samples += n
-                merged += n
-        return merged
 
     # -- output ---------------------------------------------------------------
 
@@ -231,16 +189,6 @@ class SamplingProfiler:
         state = "running" if self.running else "stopped"
         return (f"SamplingProfiler(interval={self.interval}, "
                 f"samples={self.samples}, {state})")
-
-
-def active() -> Optional[SamplingProfiler]:
-    """The most recently started, not-yet-stopped profiler (or None).
-
-    The scenario layer consults this so worker processes of a profiled
-    multi-core build know to profile themselves too — without the
-    profiler handle having to thread through every build call site.
-    """
-    return _ACTIVE
 
 
 @contextmanager

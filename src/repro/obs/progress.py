@@ -7,8 +7,7 @@ This module gives long runs a pulse, in two parts:
   of *pull* gauges: ``registrations`` (how many registrations the
   build has materialised so far, fed live by the scenario layer),
   ``shards_done``/``shards_total`` (completed ``(tld, month)`` build
-  shards, plus the longest-in-flight shard label for the heartbeat)
-  and ``rss_kb`` (current — not high-water — process RSS, read from
+  shards) and ``rss_kb`` (current — not high-water — process RSS, read from
   ``/proc/self/statm`` where available).  Pull-based means nothing is
   pushed on the build hot path: the gauges evaluate their sources only
   when something (the heartbeat, an exposition snapshot) reads them.
@@ -58,16 +57,12 @@ class BuildProgress:
     """Pull-gauge provider for live build state (registry group
     ``"progress"``).
 
-    The scenario layer points :meth:`set_registrations_source` at
-    whatever live count it has — the serial build's stats dict, the
-    parallel build's merged-row counter — and clears it when the build
-    returns.  Between builds the gauge reads 0.
+    The scenario layer points :meth:`set_registrations_source` at the
+    build's live stats dict and clears it when the build returns.  Between builds the gauge reads 0.
 
     :meth:`set_shards_source` is the shard-completion analogue for the
     per-``(tld, month)`` build: a source returning ``(done, total)``
     shard counts, rendered by the heartbeat as ``shards=done/total``.
-    :meth:`set_current_shard_source` names the longest-in-flight shard
-    (the likely straggler) for the same line.
     """
 
     def __init__(self) -> None:
@@ -77,12 +72,11 @@ class BuildProgress:
         self.rss = Gauge("rss_kb", "current process RSS")
         self.rss.set_function(current_rss_kb)
         self.shards_done = Gauge(
-            "shards_done", "build shards fully merged so far")
+            "shards_done", "build shards fully populated so far")
         self.shards_total = Gauge(
             "shards_total", "build shards of the in-flight build")
         self._source: Optional[Callable[[], int]] = None
         self._shards_source: Optional[Callable[[], tuple]] = None
-        self._current_shard_source: Optional[Callable[[], str]] = None
         self.registrations.set_function(self._read)
         self.shards_done.set_function(lambda: self._read_shards()[0])
         self.shards_total.set_function(lambda: self._read_shards()[1])
@@ -104,38 +98,23 @@ class BuildProgress:
             pass
         return 0, 0
 
-    def current_shard(self) -> str:
-        source = self._current_shard_source
-        try:
-            return str(source()) if source is not None else ""
-        except Exception:           # a dying source must not kill telemetry
-            return ""
-
     def set_registrations_source(self, fn: Callable[[], int]) -> None:
         self._source = fn
 
     def set_shards_source(self, fn: Callable[[], tuple]) -> None:
         self._shards_source = fn
 
-    def set_current_shard_source(self, fn: Callable[[], str]) -> None:
-        self._current_shard_source = fn
-
     def clear(self) -> None:
         self._source = None
         self._shards_source = None
-        self._current_shard_source = None
 
     # -- provider protocol ----------------------------------------------------
 
     def snapshot(self) -> dict:
         done, total = self._read_shards()
-        snap = {"registrations": int(self.registrations.value),
+        return {"registrations": int(self.registrations.value),
                 "rss_kb": int(self.rss.value),
                 "shards_done": done, "shards_total": total}
-        current = self.current_shard()
-        if current:
-            snap["current_shard"] = current
-        return snap
 
     def metrics(self):
         return (self.registrations, self.rss, self.shards_done,
@@ -220,11 +199,7 @@ class Heartbeat:
                 parts.append(f"regs={_fmt_count(regs)}")
             total = snap.get("shards_total", 0)
             if total:
-                shards = f"shards={snap.get('shards_done', 0)}/{total}"
-                current = snap.get("current_shard", "")
-                if current:
-                    shards += f"({current})"
-                parts.append(shards)
+                parts.append(f"shards={snap.get('shards_done', 0)}/{total}")
             parts.append(f"rss={_fmt_rss(snap.get('rss_kb', 0))}")
         return " ".join(parts)
 

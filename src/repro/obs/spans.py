@@ -27,15 +27,9 @@ Design constraints, both load-bearing:
 
 Spans nest: the tracer keeps a stack, so each finished span records
 its parent id and depth.  The engine is single-threaded by design
-(like the rest of the simulator); worker processes of the multi-core
-build record into their own (forked) tracer and the parent *stitches*
-the finished records back in on shard arrival via
-:meth:`Tracer.adopt_spans` — span ids remapped onto the parent's
-sequence, ``worker=N`` / ``tld=`` labels attached, roots re-parented
-under the in-flight ``build.merge_shards`` span — so ``phase_totals()``
-shows true per-shard wall time and the ``.com`` Amdahl straggler is
-directly visible (the workflow is documented in
-``docs/observability.md``).
+(like the rest of the simulator), so ``phase_totals()`` shows true
+per-shard wall time for the ``build.populate_shard`` spans (the
+workflow is documented in ``docs/observability.md``).
 
 RSS is reported as two fields per span, because ``ru_maxrss`` is a
 *monotone process-wide high-water mark*: ``peak_rss_kb`` is that
@@ -53,7 +47,7 @@ import resource
 import time
 from contextlib import contextmanager
 from functools import wraps
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.obs.metrics import Counter, Gauge, get_registry
 
@@ -116,32 +110,6 @@ class Span:
         if self.annotations:
             record["annotations"] = dict(self.annotations)
         return record
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "Span":
-        """Rebuild a finished span from its :meth:`as_dict` record.
-
-        The inverse used by cross-process stitching: worker processes
-        ship their finished spans as plain dicts (nothing but ints and
-        strings crosses the pickle boundary) and the parent
-        rematerialises them here before :meth:`Tracer.adopt_spans`
-        remaps the ids.
-        """
-        span = cls(str(record["span"]),
-                   dict(record.get("labels") or {}),
-                   int(record["id"]),
-                   None if record.get("parent") is None
-                   else int(record["parent"]),
-                   int(record.get("depth", 0)))
-        span.wall_sec = float(record.get("wall_sec", 0.0))
-        sim_sec = record.get("sim_sec")
-        span.sim_sec = None if sim_sec is None else int(sim_sec)
-        span.peak_rss_kb = int(record.get("peak_rss_kb", 0))
-        span.rss_growth_kb = int(record.get("rss_growth_kb", 0))
-        error = record.get("error")
-        span.error = None if error is None else str(error)
-        span.annotations = dict(record.get("annotations") or {})
-        return span
 
 
 class _NullSpan:
@@ -267,66 +235,6 @@ class Tracer:
         if self._sink is not None:
             self._sink(finished.as_dict())
 
-    # -- cross-process stitching ----------------------------------------------
-
-    def export_records(self) -> List[Dict[str, object]]:
-        """Every retained span as a plain-dict record, finish order.
-
-        The worker half of span stitching: the records are pickle- and
-        JSON-safe, so a shard result can carry them back to the parent
-        for :meth:`adopt_spans`.
-        """
-        return [finished.as_dict() for finished in self.spans]
-
-    def adopt_spans(self, records: Iterable[Dict[str, object]],
-                    parent: Optional[Span] = None,
-                    **extra_labels) -> int:
-        """Stitch finished span records from another process into this tracer.
-
-        Args:
-            records: :meth:`export_records` output (finish order — a
-                child always precedes its parent, and ids within the
-                batch are unique).
-            parent: the local span the foreign roots are re-parented
-                under (typically the in-flight ``build.merge_shards``
-                span); None leaves them as roots.
-            extra_labels: labels stamped onto every adopted span
-                (``worker=3``, ``tld="com"``).
-
-        Returns:
-            The number of spans adopted.
-
-        Ids are remapped onto this tracer's sequential space (foreign
-        ids collide with local ones by construction), depths shift
-        under the new root, and every adopted span flows through the
-        same aggregate/sink path a locally finished span does — so
-        ``phase_totals()`` and the JSONL sink show true per-shard
-        timings regardless of which process did the work.
-        """
-        if not self.enabled:
-            return 0
-        records = list(records)
-        id_map: Dict[int, int] = {}
-        for record in records:
-            id_map[int(record["id"])] = self._next_id
-            self._next_id += 1
-        parent_id = parent.span_id if parent is not None else None
-        base_depth = parent.depth + 1 if parent is not None else 0
-        stamped = {key: str(value) for key, value in extra_labels.items()}
-        for record in records:
-            adopted = Span.from_dict(record)
-            adopted.span_id = id_map[int(record["id"])]
-            foreign_parent = record.get("parent")
-            if foreign_parent is not None and int(foreign_parent) in id_map:
-                adopted.parent_id = id_map[int(foreign_parent)]
-            else:
-                adopted.parent_id = parent_id
-            adopted.depth += base_depth
-            if stamped:
-                adopted.labels.update(stamped)
-            self._finish(adopted)
-        return len(records)
-
     # -- sinks ----------------------------------------------------------------
 
     def attach_sink(self, sink: Union[str, Callable]) -> None:
@@ -351,17 +259,6 @@ class Tracer:
         if self._sink_file is not None:
             self._sink_file.close()
             self._sink_file = None
-
-    def detach_sink(self) -> None:
-        """Drop the sink *without* closing it.
-
-        The fork-safety half of sink handling: a worker process
-        inherits the parent's sink file handle (and its buffered
-        bytes); closing it would flush duplicated data into the
-        parent's file, so the worker just forgets it.
-        """
-        self._sink = None
-        self._sink_file = None
 
     def to_jsonl(self, path) -> int:
         """Write every retained span as JSONL; returns the line count."""

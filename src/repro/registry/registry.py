@@ -15,7 +15,6 @@ everything observable from them:
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from itertools import islice
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.dnscore import name as dnsname
@@ -106,64 +105,6 @@ class Registry:
             self._mark_dirty(zone_added_at)
         self._lifecycles[norm] = lifecycle
         return lifecycle
-
-    def register_many(self, rows: Iterable[Tuple],
-                      dirty_ticks: Iterable[int] = ()) -> int:
-        """Bulk-load fully resolved lifecycle rows (the parallel merge).
-
-        Args:
-            rows: iterables of plain values in :data:`LIFECYCLE_FIELDS`
-                order, as produced by :func:`lifecycle_rows` in a worker
-                process — every sampled decision (removal instants, NS
-                changes, holds) already folded into final field values
-                and timeline change lists.
-            dirty_ticks: the producing registry's dirty zone-tick
-                indices, merged wholesale so SOA serials match a serial
-                build.
-
-        Returns:
-            Number of lifecycles materialized.
-
-        This is the array side of the transactional API
-        (:meth:`register` / :meth:`schedule_removal` /
-        :meth:`change_nameservers` / :meth:`place_hold`): workers run
-        the transactional methods against a private registry, ship the
-        resulting rows (cheap to pickle — no lifecycle objects cross
-        the process boundary), and the parent materializes
-        :class:`DomainLifecycle` objects here exactly as a serial build
-        would have left them, in the same insertion order.
-        """
-        lifecycles = self._lifecycles
-        tld = self.tld
-        count = 0
-        for (domain, registrar, created_at, zone_added_at, removed_at,
-             zone_removed_at, dns_provider, web_provider, is_malicious,
-             abuse_kind, removal_reason, actor, campaign, held, lame,
-             rdap_sync_lag, ns_changes, a_changes, aaaa_changes) in rows:
-            norm = domain if type(domain) is Name else intern_name(domain)
-            if norm in lifecycles:
-                raise RegistrationError(f"{norm} is already registered")
-            if norm.tld != tld:
-                raise RegistrationError(f"{norm} does not belong under .{tld}")
-            lifecycles[norm] = DomainLifecycle(
-                domain=norm, tld=tld, registrar=registrar,
-                created_at=created_at, zone_added_at=zone_added_at,
-                removed_at=removed_at, zone_removed_at=zone_removed_at,
-                dns_provider=dns_provider, web_provider=web_provider,
-                ns_timeline=Timeline.from_changes(
-                    (ts, _normalized_ns_set(hosts)) for ts, hosts in ns_changes),
-                a_timeline=Timeline.from_changes(a_changes),
-                aaaa_timeline=Timeline.from_changes(aaaa_changes),
-                is_malicious=is_malicious, abuse_kind=abuse_kind,
-                removal_reason=removal_reason, actor=actor,
-                campaign=campaign, held=held, lame=lame,
-                rdap_sync_lag=rdap_sync_lag)
-            count += 1
-        new_ticks = set(dirty_ticks) - self._dirty_ticks
-        if new_ticks:
-            self._dirty_ticks |= new_ticks
-            self._serial_cache = None
-        return count
 
     def schedule_removal(self, domain: str, removed_at: int,
                          reason: Optional[RemovalReason] = None) -> DomainLifecycle:
@@ -291,15 +232,6 @@ class Registry:
             self._dirty_ticks.add(index)
             self._serial_cache = None
 
-    def dirty_tick_indices(self) -> FrozenSet[int]:
-        """Zone-tick indices at which at least one mutation applied.
-
-        The raw material of :meth:`serial_at`; exported so a
-        worker-private registry's SOA history can be merged into the
-        scenario's live one (:meth:`register_many`'s ``dirty_ticks``).
-        """
-        return frozenset(self._dirty_ticks)
-
     def serial_at(self, ts: int) -> int:
         """SOA serial at ``ts``: number of content-changing runs so far."""
         if self._serial_cache is None:
@@ -328,59 +260,6 @@ class Registry:
         """Registrations that never reached the zone at all."""
         return [lc for lc in self.registrations_in(start, end)
                 if lc.zone_added_at is None]
-
-
-#: Field order of one :func:`lifecycle_rows` row — the wire format of
-#: the parallel world build.  Scalars first, the three timelines (as
-#: ``(ts, value)`` change tuples) last.
-LIFECYCLE_FIELDS: Tuple[str, ...] = (
-    "domain", "registrar", "created_at", "zone_added_at", "removed_at",
-    "zone_removed_at", "dns_provider", "web_provider", "is_malicious",
-    "abuse_kind", "removal_reason", "actor", "campaign", "held", "lame",
-    "rdap_sync_lag", "ns_changes", "a_changes", "aaaa_changes",
-)
-
-
-def lifecycle_rows(registry: Registry, start: int = 0,
-                   stop: Optional[int] = None) -> List[Tuple]:
-    """Flatten lifecycles of ``registry`` into compact rows.
-
-    Args:
-        registry: the (typically worker-private) registry to export.
-        start: first lifecycle (by insertion order) to export.
-        stop: one past the last lifecycle to export (None: all).
-
-    Returns:
-        One tuple per lifecycle in insertion order, fields as named by
-        :data:`LIFECYCLE_FIELDS`.  NS sets are rendered as sorted host
-        tuples; :meth:`Registry.register_many` re-derives the shared
-        frozensets on load.
-
-    Rows contain only primitives, enums, and (interned) strings — no
-    lifecycle or timeline objects — so pickling them across a process
-    boundary is cheap and reconstruction is exact.  The ``start``/
-    ``stop`` window is what lets the parallel world build stream a
-    shard's rows back in bounded chunks while the shard is still
-    populating: rows for already-executed plans are final, so a prefix
-    export at any plan boundary is exact.
-    """
-    lifecycles: Iterable = registry.lifecycles()
-    if start or stop is not None:
-        lifecycles = islice(lifecycles, start, stop)
-    rows: List[Tuple] = []
-    for lc in lifecycles:
-        rows.append((
-            lc.domain, lc.registrar, lc.created_at, lc.zone_added_at,
-            lc.removed_at, lc.zone_removed_at, lc.dns_provider,
-            lc.web_provider, lc.is_malicious, lc.abuse_kind,
-            lc.removal_reason, lc.actor, lc.campaign, lc.held, lc.lame,
-            lc.rdap_sync_lag,
-            tuple((ts, tuple(sorted(value)))
-                  for ts, value in lc.ns_timeline.changes()),
-            tuple(lc.a_timeline.changes()),
-            tuple(lc.aaaa_timeline.changes()),
-        ))
-    return rows
 
 
 class RegistryGroup:

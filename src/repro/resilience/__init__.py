@@ -1,5 +1,5 @@
 """Failure handling for the repro stack: deterministic fault injection,
-supervised build workers, circuit breakers, and crash-safe logs.
+circuit breakers, and crash-safe logs.
 
 The package has three pillars (see ``docs/resilience.md``):
 
@@ -12,8 +12,8 @@ The package has three pillars (see ``docs/resilience.md``):
 * :mod:`repro.resilience.metrics` — the process-wide ``resilience``
   registry group counting every injected fault and every recovery.
 
-The consuming subsystems (``workload.scenario`` supervision,
-``scan.engine`` breakers, ``serve.segments`` salvage) live where the
+The consuming subsystems (``scan.engine`` breakers,
+``serve.segments`` salvage, ``serve.server`` shedding) live where the
 behaviour they protect lives; this package only holds the shared
 mechanism.
 """

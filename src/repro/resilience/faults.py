@@ -1,23 +1,18 @@
 """Deterministic fault injection: the chaos plane of the repro stack.
 
-A :class:`FaultPlan` describes *which* faults to inject (worker
-crashes in the parallel build, SERVFAIL/timeout storms and latency
-spikes in scan, stalled consumers in serve, torn segment writes in the
-feed log) and *when* they fire — and every decision is a pure function
-of ``(plan seed, fault kind, injection-site key)`` drawn through the
-existing :class:`~repro.simtime.rng.RngStream` layer.  That purity is
-the whole point: chaos runs are bit-reproducible (same seed → same
-injection schedule), decisions are independent of worker scheduling or
-arrival order, and the recovery machinery can be proven
-value-preserving against the ``world_fingerprint`` goldens *with the
-faults on*.
+A :class:`FaultPlan` describes *which* faults to inject
+(SERVFAIL/timeout storms and latency spikes in scan, stalled consumers
+in serve, torn segment writes in the feed log) and *when* they fire —
+and every decision is a pure function of ``(plan seed, fault kind,
+injection-site key)`` drawn through the existing
+:class:`~repro.simtime.rng.RngStream` layer.  That purity is the whole
+point: chaos runs are bit-reproducible (same seed → same injection
+schedule) and decisions are independent of the order in which
+injection sites are consulted.
 
 Fault kinds (the ``kind`` column of ``docs/resilience.md``):
 
 =================  =========================================================
-``worker.crash``   a parallel-build shard raises :class:`WorkerCrashError`
-``worker.hang``    a parallel-build shard sleeps ``delay`` wall seconds
-                   before doing any work (exercises the shard deadline)
 ``scan.servfail``  a probe comes back SERVFAIL without reaching the
                    authority (per-authority storm via ``target``)
 ``scan.timeout``   as above, but TIMEOUT
@@ -27,10 +22,11 @@ Fault kinds (the ``kind`` column of ``docs/resilience.md``):
                    atomic rename (simulates a torn write / power cut)
 =================  =========================================================
 
-Plans parse from three spellings, all accepted by ``--fault-plan``:
+Plans parse from three spellings, all accepted by ``--fault-plan``
+(on ``repro scan`` and ``repro serve``):
 
-* a compact CLI spec — ``"seed=3;worker.crash:target=com,rate=1,fires=1"``;
-* inline JSON — ``'{"seed": 3, "faults": [{"kind": "worker.crash", ...}]}'``;
+* a compact CLI spec — ``"seed=3;scan.servfail:target=com,rate=1,fires=1"``;
+* inline JSON — ``'{"seed": 3, "faults": [{"kind": "scan.servfail", ...}]}'``;
 * a path to a JSON file with the same shape.
 
 Injection *events* are counted in the process-wide ``resilience``
@@ -51,7 +47,6 @@ from repro.simtime.rng import RngStream
 
 #: Every injectable fault kind (parse-time validation).
 FAULT_KINDS = (
-    "worker.crash", "worker.hang",
     "scan.servfail", "scan.timeout", "scan.latency",
     "serve.stall",
     "log.torn_write",
@@ -76,8 +71,8 @@ class FaultSpec:
     an ``fnmatch`` pattern against the injection site's primary key
     (TLD, authority, or client id — ``None`` matches everything);
     ``fires`` caps the *attempt index* the fault can fire on (so
-    ``fires=1`` makes a worker crash exactly once and succeed on
-    retry); ``delay`` shapes hang/latency faults; ``start``/``end``
+    ``fires=1`` makes a probe fail once and succeed on retry);
+    ``delay`` shapes latency faults; ``start``/``end``
     gate the fault to a simulated-time window (storms).
     """
 
@@ -121,9 +116,7 @@ class FaultSpec:
 class FaultPlan:
     """A seeded set of :class:`FaultSpec` — the whole chaos schedule.
 
-    The plan is frozen and picklable (it crosses into build worker
-    processes inside :class:`~repro.workload.scenario.ScenarioConfig`)
-    and holds **no mutable decision state**: :meth:`fires` derives a
+    The plan is frozen and holds **no mutable decision state**: :meth:`fires` derives a
     fresh child stream per injection site, so the verdict for a site
     never depends on how many other sites were consulted first.
     """
@@ -158,7 +151,7 @@ class FaultPlan:
         Returns the matching spec (first match wins, spec order) or
         ``None``.  The Bernoulli draw comes from a fresh stream derived
         from ``(seed, kind, key, attempt)``, so the decision is
-        order-independent and reproducible across processes.
+        order-independent and reproducible.
         """
         if kind not in self._kinds:
             return None

@@ -2,8 +2,8 @@
 
 Unlike ``serve``/``scan`` metrics — which belong to one server or
 engine instance — resilience events are scattered across subsystems
-(build supervision, scan breakers, segment salvage, feed-line
-quarantine), so this module keeps one process-wide
+(scan breakers, segment salvage, feed-line quarantine, serve
+shedding), so this module keeps one process-wide
 :class:`ResilienceMetrics` that every call site shares via
 :func:`get_resilience_metrics`.  The instance self-registers under the
 ``resilience`` group of :func:`repro.obs.metrics.get_registry`, so it
@@ -24,22 +24,10 @@ class ResilienceMetrics:
     """Counters for every fault injected and every recovery performed."""
 
     def __init__(self) -> None:
-        #: Injected faults, by kind (worker.crash, scan.servfail, ...).
+        #: Injected faults, by kind (scan.servfail, serve.stall, ...).
         self.faults_injected = Counter(
             "resilience_faults_injected_total",
             "Faults fired by the active fault plan", labelnames=("kind",))
-        #: Build-worker failures observed by the supervisor (injected
-        #: crashes, real exceptions, and deadline overruns alike).
-        self.worker_failures = Counter(
-            "resilience_worker_failures_total",
-            "Build shard attempts that crashed or overran their deadline",
-            labelnames=("reason",))
-        self.shard_retries = Counter(
-            "resilience_shard_retries_total",
-            "Build shards resubmitted after a failed attempt")
-        self.serial_fallbacks = Counter(
-            "resilience_serial_fallbacks_total",
-            "Poison shards rebuilt in-process after exhausting retries")
         #: Breaker lifecycle, labelled by the transition edge.
         self.breaker_transitions = Counter(
             "resilience_breaker_transitions_total",
@@ -72,8 +60,7 @@ class ResilienceMetrics:
 
     def metrics(self) -> Iterable:
         return [
-            self.faults_injected, self.worker_failures, self.shard_retries,
-            self.serial_fallbacks, self.breaker_transitions,
+            self.faults_injected, self.breaker_transitions,
             self.breaker_skips, self.deadline_exhausted, self.torn_lines,
             self.records_salvaged, self.segments_quarantined,
             self.shed_clients, self.rejected_lines,

@@ -24,8 +24,6 @@ from repro.simtime.clock import (
 from repro.simtime.events import EventHandle, EventLoop, PeriodicTask
 from repro.simtime.rng import (
     RngStream,
-    CountingStream,
-    SeedBank,
     StreamBank,
     WeightedSampler,
     derive_seed,
@@ -42,7 +40,7 @@ __all__ = [
     "day_floor", "days", "hours", "isoformat", "minutes", "month_key",
     "parse_duration", "seconds", "to_datetime", "utc",
     "EventHandle", "EventLoop", "PeriodicTask",
-    "CountingStream", "RngStream", "SeedBank", "StreamBank",
+    "RngStream", "StreamBank",
     "WeightedSampler", "derive_seed", "spawn",
     "stable_bucket", "stable_hash01",
     "BooleanTimeline", "Timeline", "merge_change_times",

@@ -61,28 +61,6 @@ class Timeline(Generic[V]):
         return cls(initial=value)
 
     @classmethod
-    def from_changes(cls, changes: Iterable[Tuple[int, V]],
-                     initial: Optional[V] = None) -> "Timeline[V]":
-        """Rebuild a timeline from ``(ts, value)`` change points.
-
-        The inverse of :meth:`changes`, used when timelines cross a
-        process boundary as compact arrays (the parallel world build's
-        merge).  Change points must already be strictly time-ordered
-        and minimal — exactly what :meth:`changes` yields — so no
-        ordering or no-op checks are re-run.
-        """
-        timeline = object.__new__(cls)
-        times: List[int] = []
-        values: List[V] = []
-        for ts, value in changes:
-            times.append(ts)
-            values.append(value)
-        timeline._times = times
-        timeline._values = values
-        timeline._initial = initial
-        return timeline
-
-    @classmethod
     def single(cls, ts: int, value: V) -> "Timeline[V]":
         """A timeline with exactly one change point.
 

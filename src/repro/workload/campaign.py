@@ -115,10 +115,10 @@ class GhostCertPlan:
     in_dzdb: bool = True
     #: CA (by :data:`~repro.ct.ca.CA_PROFILES` index) already pinned by
     #: the planner.  None: the executor draws one from the shared
-    #: ``capick`` stream.  Scenario plugins MUST pin — their ghosts are
-    #: invisible to the ``capick_draw_counts`` counting pass, so an
-    #: unpinned scenario ghost would desync the multi-core build's
-    #: fast-forward offsets.
+    #: ``capick`` stream.  Scenario plugins MUST pin — that stream is
+    #: consumed shard after shard, so an unpinned scenario ghost would
+    #: shift the CA pick of every calibrated ghost and held domain in
+    #: every later shard.
     ca_index: Optional[int] = None
 
 

@@ -13,9 +13,9 @@ DGA-style bulk spam, numbered card-fraud batches) are what these
 styles make visibly distinct in the reproduced feeds and tables.
 
 A generator's RNG stream *and* its sequence counter advance with every
-name, so a generator is a serial resource — whoever shares one must
-run serially.  The multi-core world build therefore gives every
-``(tld, month)`` shard its *own* generators over month-scoped streams,
+name, so whoever shares one depends on everyone who drew before.  The
+world build therefore gives every ``(tld, month)`` shard its *own*
+generators over month-scoped streams,
 with :func:`month_scoped` namespaces keeping the per-month sequence
 counters collision-free across months of one TLD (see
 ``docs/determinism.md``).
@@ -161,7 +161,7 @@ def month_scoped(rng: RngStream, month_index: int,
                  kind: str = "m") -> NameGenerator:
     """A generator whose namespace embeds a month index.
 
-    The unit of parallelism in the world build is one ``(tld, month)``
+    The unit of generation in the world build is one ``(tld, month)``
     shard; each shard constructs its generators over month-scoped RNG
     streams, so the *streams* never collide — but the per-generator
     sequence counters all restart at 1.  Embedding the month index in

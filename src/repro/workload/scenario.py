@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bus.broker import Broker
 from repro.ct.ca import CA_PROFILES, CertificateAuthority, ca_index_sampler
@@ -26,25 +24,16 @@ from repro.ct.ctlog import CTLog
 from repro.czds.archive import SnapshotArchive
 from repro.czds.dzdb import DZDB
 from repro.dnscore.interned import configure_interner
-from repro.errors import (
-    ConfigError,
-    ShardRetryExhausted,
-    ValidationError,
-    WorkerCrashError,
-)
+from repro.errors import ConfigError, ValidationError
 from repro.intel.blocklist import BlocklistPanel
 from repro.intel.labels import GroundTruth
 from repro.intel.nod import NODFeed
-from repro.obs.log import get_logger
-from repro.obs.profiler import SamplingProfiler, active as profiler_active
 from repro.obs.progress import build_progress
-from repro.obs.spans import Span, span, tracer
+from repro.obs.spans import span
 from repro.registry.lifecycle import DomainLifecycle, RemovalReason
 from repro.registry.policy import DEFAULT_POLICIES, policy_for
 from repro.registry.registrar import TakedownModel
-from repro.registry.registry import Registry, RegistryGroup, lifecycle_rows
-from repro.resilience.faults import FaultPlan
-from repro.resilience.metrics import get_resilience_metrics
+from repro.registry.registry import Registry, RegistryGroup
 from repro.simtime.clock import DAY, HOUR, MINUTE, PAPER_WINDOW, Window, day_floor
 from repro.simtime.rng import RngStream, StreamBank, WeightedSampler
 from repro.workload import calibration as cal
@@ -112,34 +101,9 @@ class ScenarioConfig:
     snapshot_interval: int = DAY
     ns_change_prob: float = cal.NS_CHANGE_PROB
     lame_prob: float = cal.LAME_PROB
-    #: Worker processes for per-``(tld, month)`` world generation:
-    #: 1 = serial (in-process), N > 1 = a pool of N, 0 = one per CPU
-    #: core.  Any value produces the bit-identical world
-    #: (``world_fingerprint`` is invariant — see
-    #: ``docs/determinism.md``); this knob only trades processes for
-    #: wall-clock.
+    #: Kept only so callers passing ``parallel=1`` keep working: the
+    #: build is serial, and any other value raises ConfigError.
     parallel: int = 1
-    #: Lifecycle rows per streamed merge chunk: workers push completed
-    #: rows back to the parent in bounded chunks of this size, so
-    #: merging overlaps the largest shard's build instead of waiting
-    #: for its result pickle.  Chunk boundaries are deterministic, so
-    #: retried shards re-produce identical chunks (dedup by sequence
-    #: number makes recovery idempotent).  Never affects world bytes.
-    merge_chunk_rows: int = 4096
-    #: Deterministic fault plan (``--fault-plan``); a string parses via
-    #: :meth:`FaultPlan.parse`.  The supervised parallel build survives
-    #: injected ``worker.crash``/``worker.hang`` faults and still
-    #: produces the bit-identical world (docs/resilience.md).
-    fault_plan: Optional[FaultPlan] = None
-    #: Resubmissions allowed per crashed/overrunning build shard before
-    #: the supervisor escalates (``--max-shard-retries``).
-    max_shard_retries: int = 2
-    #: Wall-clock seconds a shard may run before the supervisor
-    #: abandons the attempt (None: no deadline).
-    shard_deadline: Optional[float] = None
-    #: Rebuild a poison shard in-process after retries are exhausted;
-    #: False raises :class:`~repro.errors.ShardRetryExhausted` instead.
-    serial_fallback: bool = True
     #: Registered scenario plugin driving this build (``--scenario``);
     #: None builds the plain calibrated world — byte-identical to
     #: ``"baseline"`` (the identity plugin).  See
@@ -154,16 +118,10 @@ class ScenarioConfig:
             raise ConfigError("scale must be in (0, 1]")
         if not 0 <= self.campaign_fraction <= 1:
             raise ConfigError("campaign_fraction must be in [0, 1]")
-        if self.parallel < 0:
-            raise ConfigError("parallel must be >= 0 (0 = one per core)")
-        if isinstance(self.fault_plan, str):
-            self.fault_plan = FaultPlan.parse(self.fault_plan)
-        if self.max_shard_retries < 0:
-            raise ConfigError("max_shard_retries must be >= 0")
-        if self.merge_chunk_rows < 1:
-            raise ConfigError("merge_chunk_rows must be >= 1")
-        if self.shard_deadline is not None and self.shard_deadline <= 0:
-            raise ConfigError("shard_deadline must be positive")
+        if self.parallel != 1:
+            raise ConfigError(
+                f"parallel must be 1 (the world build is serial): "
+                f"{self.parallel}")
         if self.scenario is not None:
             # Resolves name + knob names now, so a bad --scenario spec
             # fails before any build work (uniform exit-2 at the CLI).
@@ -372,10 +330,9 @@ def _plan_month_for_tld(config: ScenarioConfig, targets: TLDTargets,
                 in_dzdb=rng.bernoulli(0.98)))
 
     # --- scenario plugin hook ----------------------------------------------------
-    # Runs identically in the serial build and in every pool worker
-    # (this function is shard code), over streams the base build never
-    # touches — so scenario worlds inherit the jobs=1 ≡ jobs=N proof,
-    # and the "baseline" identity plugin reproduces scenario=None.
+    # Runs over (tld, month)-scoped streams the base build never
+    # touches, so a plugin cannot perturb any other shard's draws, and
+    # the "baseline" identity plugin reproduces scenario=None.
     plugin = config.plugin()
     if plugin is not None:
         plugin.transform_month_plan(MonthPlanContext(
@@ -424,23 +381,18 @@ def _execute_registration(plan: RegistrationPlan, registry: Registry,
 
 
 # ---------------------------------------------------------------------------
-# Per-(tld, month) shard population (shared by the serial and
-# multi-core builds)
+# Per-(tld, month) shard population
 # ---------------------------------------------------------------------------
 
-#: A build shard: one gTLD-month of generation work.
-ShardKey = Tuple[str, str]
-
-#: Builder statistics accumulated during generation (merged additively
-#: across per-shard results, so every key must be a plain counter).
+#: Builder statistics accumulated during generation.
 _STAT_KEYS: Tuple[str, ...] = (
     "registrations", "fast_takedowns", "ghost_certs", "held_domains",
     "cert_requests", "cert_rejections", "baseline",
 )
 
 #: Market-share sampler over CA *indices* — one ``random()`` draw per
-#: pick, draw-identical to sampling the CA objects, but the result (an
-#: int) crosses process boundaries for free.
+#: pick, draw-identical to sampling the CA objects.  Shards record the
+#: index, so generation never touches a live CA object.
 _CA_INDICES = ca_index_sampler()
 
 #: A certificate request gathered during generation:
@@ -448,90 +400,12 @@ _CA_INDICES = ca_index_sampler()
 CertEvent = Tuple[int, str, Optional[Tuple[str, ...]], Optional[int]]
 
 
-def capick_draw_counts(config: ScenarioConfig,
-                       targets: Dict[str, TLDTargets]
-                       ) -> Dict[ShardKey, int]:
-    """Per-``(tld, month)`` draw counts on the shared ``capick`` stream.
-
-    Args:
-        config: the scenario being built (ghost/held toggles gate draws).
-        targets: the (already filtered) per-TLD generation targets.
-
-    Returns:
-        ``{(tld, month): number of capick draws}`` — exactly the draws
-        :func:`_populate_shard` will consume for that shard.
-
-    This is the *counting pass* of the multi-core build: every ghost
-    certificate and every held domain pins its CA with exactly one
-    draw from the one stream that is shared across shards, and both
-    populations are pure functions of the calibrated targets (their
-    stochastic rounding uses :func:`~repro.simtime.rng.stable_hash01`,
-    not the stream).  A worker building shard *i* therefore
-    fast-forwards a fresh capick stream by the summed counts of all
-    shards before it in canonical (sorted ``(tld, month)``) order and
-    lands on the exact state the serial build would have handed it.
-    One :class:`~repro.simtime.rng.WeightedSampler` pick consumes
-    exactly one ``random()`` draw — the unit this pass counts.
-    ``tests/test_workload.py`` audits this accounting per shard
-    against a :class:`~repro.simtime.rng.CountingStream`.
-    """
-    counts: Dict[ShardKey, int] = {}
-    for tld, tld_targets in targets.items():
-        for month in cal.MONTH_KEYS:
-            draws = 0
-            if config.ghost_certs:
-                draws += tld_targets.ghost_count(month)
-            if config.held_domains:
-                draws += tld_targets.held_count(month)
-            counts[(tld, month)] = draws
-    return counts
-
-
-def shard_estimates(config: ScenarioConfig,
-                    targets: Dict[str, TLDTargets]) -> Dict[ShardKey, int]:
-    """Registration-count estimate per ``(tld, month)`` build shard.
-
-    Pure function of the calibrated targets — ordinary NRDs,
-    fast-takedown volume, ghost/held populations, plus the baseline
-    population that rides in each TLD's first-month shard.  This is
-    the LPT scheduling weight (:func:`lpt_order`): it need not be
-    exact, only rank-faithful, so the biggest shards start first.
-    """
-    estimates: Dict[ShardKey, int] = {}
-    for tld, tld_targets in targets.items():
-        for index, month in enumerate(cal.MONTH_KEYS):
-            n = tld_targets.monthly_nrd.get(month, 0)
-            n += tld_targets.fast_takedown_count(month)
-            if config.ghost_certs:
-                n += tld_targets.ghost_count(month)
-            if config.held_domains:
-                n += tld_targets.held_count(month)
-            if index == 0:
-                n += int(round(tld_targets.total_nrd
-                               * config.baseline_fraction))
-            estimates[(tld, month)] = n
-    return estimates
-
-
-def lpt_order(estimates: Dict[ShardKey, int]) -> List[ShardKey]:
-    """Longest-processing-time submission order over shard estimates.
-
-    Largest estimate first; ties break on the shard key so the order —
-    and therefore worker/pid arrival patterns in telemetry — is
-    deterministic for a given target set.  Feeding a work-stealing
-    pool in this order *is* LPT scheduling: each free worker takes the
-    largest remaining shard.
-    """
-    return sorted(estimates, key=lambda key: (-estimates[key], key))
-
-
 def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
                     month: str, bank: StreamBank, registry: Registry,
                     dzdb: DZDB,
                     seed_token: Callable[[int, str, int], None],
                     cert_events: List[CertEvent],
-                    stats: Dict[str, int],
-                    checkpoint: Optional[Callable[[], None]] = None) -> None:
+                    stats: Dict[str, int]) -> None:
     """Generate one ``(tld, month)`` shard onto the substrates.
 
     Monthly NRD + fast-takedown plans (with execution against
@@ -540,16 +414,11 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
     pre-window baseline zone population.  All randomness comes from
     ``(tld, month)``-scoped streams of ``bank`` (name generation,
     plan generation, execution, held domains) except the CA picks,
-    which draw from the shared ``("capick",)`` stream; callers running
-    shards out of canonical order must fast-forward that stream first
-    (see :func:`capick_draw_counts`).
+    which draw from the shared ``("capick",)`` stream, so shards must
+    run in canonical order (sorted TLDs, months chronological).
 
-    ``seed_token(ca_index, domain, validated_at)`` decouples DV-token
-    placement from live CA objects so the same code runs in worker
-    processes (which only record the index).  ``checkpoint`` is called
-    at registration boundaries — points where every row in ``registry``
-    is final — so a streaming caller can flush completed rows in
-    bounded chunks while the shard is still populating.
+    ``seed_token(ca_index, domain, validated_at)`` places a DV token by
+    CA index, keeping CA objects out of generation.
     """
     tld = tld_targets.tld
     month_i = cal.month_index(month)
@@ -573,8 +442,6 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
                 a_addrs=("198.18.63.1",), actor=profile.name)
             dzdb.observe(domain, created + DAY)
             stats["baseline"] += 1
-            if checkpoint is not None:
-                checkpoint()
 
     namegen = month_scoped(bank.stream("names", tld, month), month_i)
     exec_rng = bank.stream("exec", tld, month)
@@ -598,12 +465,11 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
             request_at = lifecycle.zone_added_at + plan.cert.delay_after_publish
             cert_events.append((request_at, plan.domain,
                                 plan.cert.extra_sans or None, None))
-        if checkpoint is not None:
-            checkpoint()
     for ghost in ghosts:
         # Scenario-planned ghosts arrive with their CA pinned (drawn
         # from the scenario stream); only calibrated ghosts draw from
-        # the shared capick stream, keeping capick_draw_counts exact.
+        # the shared capick stream, so a plugin never shifts the CA
+        # picks of the shards after it.
         ca_index = (ghost.ca_index if ghost.ca_index is not None
                     else _CA_INDICES.pick(bank.stream("capick")))
         seed_token(ca_index, ghost.domain, ghost.validated_at)
@@ -644,588 +510,6 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
                 config.window.duration)
             cert_events.append((request_at, domain, None, ca_index))
             stats["held_domains"] += 1
-            if checkpoint is not None:
-                checkpoint()
-
-
-# ---------------------------------------------------------------------------
-# Multi-core build: per-(tld, month) worker shards + streaming merge
-# ---------------------------------------------------------------------------
-
-#: Merge-chunk queue inherited by forked pool workers.  The parent
-#: sets it immediately before creating the pool (and clears it after):
-#: a fork-inherited module global is the only channel that reaches
-#: ``ProcessPoolExecutor`` workers without riding the task pickles —
-#: ``multiprocessing.Queue`` cannot be pickled through ``submit()``.
-#: Under a non-fork start method it stays ``None`` in the workers and
-#: chunks ride the future results instead.
-_CHUNK_QUEUE = None
-
-#: Seconds without merge progress (no future completion, no chunk
-#: arrival) after which the supervisor stops waiting for in-flight
-#: chunks and rebuilds the unsettled shards in-process.
-_CHUNK_STALL_SEC = 10.0
-
-
-def shard_keys(targets: Dict[str, TLDTargets]) -> List[ShardKey]:
-    """Every ``(tld, month)`` build shard in canonical order.
-
-    Canonical order — sorted TLDs, months chronological — is the order
-    the serial build populates shards in, the order capick offsets are
-    accumulated in, and the order scenario-global merge results are
-    applied in.
-    """
-    return [(tld, month)
-            for tld in sorted(targets) for month in cal.MONTH_KEYS]
-
-
-def shard_label(key: ShardKey) -> str:
-    """Display/fault-target form of a shard key (``com:2023-11``)."""
-    return f"{key[0]}:{key[1]}"
-
-
-def _build_shard_arrays(config: ScenarioConfig, tld_targets: TLDTargets,
-                        month: str, capick_offset: int,
-                        chunk_sink: Optional[Callable] = None):
-    """Build one shard against private substrates; return compact arrays.
-
-    The process-agnostic shard core: reconstructs the scenario's
-    stream bank from the master seed, fast-forwards the shared capick
-    stream to this shard's precomputed offset, populates a private
-    registry/DZDB, and returns everything as picklable arrays —
-    registration rows, dirty zone ticks, DZDB intervals, DV-token
-    seeds (by CA index), certificate-request events, and counters.  No
-    lifecycle, CA, or timeline object crosses the process boundary.
-
-    With a ``chunk_sink``, completed lifecycle rows are flushed as
-    ``chunk_sink(seq, rows)`` in deterministic
-    ``config.merge_chunk_rows``-sized chunks *while the shard is still
-    populating* (rows at a checkpoint are final), and the returned
-    row field is ``None`` — the result then carries only the chunk
-    count, which the parent uses to detect completeness.  Chunk
-    boundaries depend only on the config, so a retried or rebuilt
-    shard reproduces byte-identical chunks and the parent can dedup by
-    sequence number.
-
-    Both the pool worker (:func:`_build_shard_worker`) and the
-    supervisor's in-process serial fallback for a poison shard call
-    this — the fallback must NOT run the worker wrapper, whose tracer
-    reset would wipe the parent's live spans.
-    """
-    bank = StreamBank(config.seed)
-    bank.stream("capick").fast_forward(capick_offset)
-    registry = Registry(policy_for(tld_targets.tld))
-    dzdb = DZDB()
-    tokens: List[Tuple[int, str, int]] = []
-    cert_events: List[CertEvent] = []
-    stats = dict.fromkeys(_STAT_KEYS, 0)
-    exported = 0
-    chunks = 0
-    chunk_rows = config.merge_chunk_rows
-
-    def flush_ready() -> None:
-        nonlocal exported, chunks
-        while len(registry) - exported >= chunk_rows:
-            rows = lifecycle_rows(registry, exported, exported + chunk_rows)
-            chunk_sink(chunks, rows)
-            chunks += 1
-            exported += len(rows)
-
-    with span("build.populate_shard", tld=tld_targets.tld,
-              month=month) as sp:
-        _populate_shard(
-            config, tld_targets, month, bank, registry, dzdb,
-            lambda index, domain, ts: tokens.append((index, domain, ts)),
-            cert_events, stats,
-            checkpoint=flush_ready if chunk_sink is not None else None)
-        sp.annotate(nrd=tld_targets.monthly_nrd.get(month, 0))
-    if chunk_sink is not None:
-        rest = lifecycle_rows(registry, exported)
-        if rest:
-            chunk_sink(chunks, rest)
-            chunks += 1
-        rows_out = None
-    else:
-        rows_out = lifecycle_rows(registry)
-    return ((tld_targets.tld, month), rows_out, chunks,
-            tuple(registry.dirty_tick_indices()), dzdb.export_rows(),
-            tokens, cert_events, stats)
-
-
-def _build_shard_worker(
-        payload: Tuple[ScenarioConfig, TLDTargets, str, int,
-                       Optional[float], int]):
-    """Worker entry point: one ``(tld, month)`` shard in a pool process.
-
-    Wraps :func:`_build_shard_arrays` with the per-process concerns —
-    tracer reset, optional sampling profiler, GC pause, interner
-    sizing — and with the build-side fault injection: when the
-    scenario's fault plan fires ``worker.hang`` the worker sleeps
-    before doing any work (exercising the supervisor's shard
-    deadline), and ``worker.crash`` raises
-    :class:`~repro.errors.WorkerCrashError` so the supervisor sees a
-    failed future exactly as it would for a real worker bug.  Fault
-    targets match the ``tld:month`` shard label (``fnmatch``
-    patterns like ``com:*`` or ``*:2023-12`` select shards).  The
-    injection decision is a pure function of ``(plan seed, tld,
-    month, attempt)``, so retries of the same shard re-roll
-    deterministically.
-
-    When the parent set up a fork-inherited chunk queue
-    (:data:`_CHUNK_QUEUE`), completed lifecycle rows stream back
-    through it in bounded chunks while the shard is still building;
-    otherwise they ride the returned result whole.
-
-    The worker instruments itself: its (forked) process tracer is
-    reset and records a ``build.populate_shard`` span, and when the
-    parent build is being profiled (``profile_interval`` is set) it
-    runs its own :class:`SamplingProfiler`.  Finished span records and
-    collapsed-stack counts ride back in the shard result for the
-    parent to stitch (:meth:`Tracer.adopt_spans` /
-    :meth:`SamplingProfiler.merge_counts`).
-    """
-    config, tld_targets, month, capick_offset, profile_interval, attempt = (
-        payload)
-    trace = tracer()
-    trace.detach_sink()   # the inherited sink handle belongs to the parent
-    trace.reset()
-    tld = tld_targets.tld
-    label = f"{tld}:{month}"
-    plan = config.fault_plan
-    if plan is not None:
-        hang = plan.fires("worker.hang", tld, month,
-                          target=label, attempt=attempt)
-        if hang is not None and hang.delay > 0:
-            time.sleep(hang.delay)
-        if plan.fires("worker.crash", tld, month,
-                      target=label, attempt=attempt):
-            raise WorkerCrashError(
-                f"injected worker crash: shard {label} attempt {attempt}")
-    chunk_queue = _CHUNK_QUEUE
-    chunk_sink = None
-    if chunk_queue is not None:
-        # Never let this process's exit block on flushing the chunk
-        # pipe: an abandoned (deadline-overrun) worker keeps pushing
-        # duplicate chunks after the parent has stopped draining, and
-        # with the default exit-join its feeder thread deadlocks the
-        # whole pool shutdown on the full pipe.  Unflushed chunks are
-        # disposable — the parent dedups by sequence number and the
-        # stall guard / serial fallback rebuild anything lost.
-        chunk_queue.cancel_join_thread()
-        key = (tld, month)
-
-        def chunk_sink(seq, rows, _key=key, _put=chunk_queue.put):
-            _put((_key, seq, rows))
-
-    profiler: Optional[SamplingProfiler] = None
-    if profile_interval is not None:
-        profiler = SamplingProfiler(interval=profile_interval).start()
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        # Same rationale as the parent's _gc_paused: everything this
-        # worker allocates stays live until the shard is pickled back,
-        # so cyclic collections only re-scan a growing heap.  The
-        # process exits right after, so no freeze/restore dance.
-        gc.disable()
-    try:
-        configure_interner(4 * tld_targets.total_nrd + 10_000)
-        arrays = _build_shard_arrays(config, tld_targets, month,
-                                     capick_offset, chunk_sink=chunk_sink)
-        if profiler is not None:
-            profiler.stop()
-        return arrays + (os.getpid(), trace.export_records(),
-                         profiler.export_counts()
-                         if profiler is not None else [])
-    finally:
-        if profiler is not None:
-            profiler.stop()
-        if was_enabled:
-            gc.enable()
-
-
-def _resolve_jobs(parallel: int, n_shards: int) -> int:
-    """Effective worker count: 0 → one per core, capped by shard count."""
-    if parallel == 0:
-        parallel = os.cpu_count() or 1
-    return max(1, min(parallel, n_shards))
-
-
-def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
-                  jobs: int, registries: RegistryGroup, dzdb: DZDB,
-                  seed_token: Callable[[int, str, int], None],
-                  cert_events: List[CertEvent],
-                  stats: Dict[str, int],
-                  merge_span: Optional[Span] = None,
-                  on_rows: Optional[Callable[[int], None]] = None) -> None:
-    """Build every ``(tld, month)`` shard in a process pool and merge.
-
-    Shard granularity is one gTLD-month: every stream a shard draws
-    from is ``(tld, month)``-scoped (or capick-offset-corrected), so
-    the ~`3 × n_tlds` shards are mutually independent and the worker
-    phase is no longer bounded by the largest *TLD* — only by the
-    largest single month, a ~3× smaller straggler.  Shards are
-    submitted in LPT order (:func:`lpt_order` over
-    :func:`shard_estimates`), so the biggest months start first.
-
-    Lifecycle rows — the bulk of the merge — *stream* back in bounded
-    chunks through a fork-inherited queue while shards are still
-    building, and are applied the moment they are applicable: a TLD's
-    months must enter its registry in chronological order (insertion
-    order is canonical), so chunks apply in ``(month, seq)`` order per
-    TLD, with later months buffering only until their predecessors
-    finish.  Merging thus overlaps even the largest shard's build
-    instead of waiting for its result pickle.  Everything whose
-    *scenario-global* order could depend on worker timing — DZDB
-    intervals, DV-token seeds, counters — is buffered and applied in
-    canonical ``(tld, month)`` order at the end, so the built world is
-    identical run to run and to the serial build, byte for byte.
-    (Certificate events need no buffering: the builder sorts them on
-    the unique ``(ts, domain)`` key before executing.)
-
-    Telemetry stitching: each completed shard carries the worker's
-    finished span records and (when profiling) its collapsed-stack
-    counts.  Spans are adopted into the parent tracer re-rooted under
-    ``merge_span`` with a stable ``worker=N`` label (N = arrival order
-    of the worker pid, labels only — never fingerprinted); profile
-    counts fold into the parent's active profiler.  ``on_rows`` is the
-    live-progress hook, called with each applied chunk's row count;
-    the ``progress`` gauges additionally expose ``shards done/total``
-    and the longest-in-flight shard label for the heartbeat.
-
-    Supervision: a shard whose future crashes (a real worker bug or an
-    injected ``worker.crash``) or overruns ``config.shard_deadline``
-    is resubmitted up to ``config.max_shard_retries`` times; a shard
-    that is still failing then is rebuilt in-process via
-    :func:`_build_shard_arrays` (``config.serial_fallback``, the
-    default) or the build raises
-    :class:`~repro.errors.ShardRetryExhausted`.  Chunks already
-    applied from a failed attempt are *kept*: chunk boundaries and
-    contents are deterministic, so the retry re-produces identical
-    chunks and the sequence-number dedup makes recovery idempotent.
-    Recovery is therefore invisible to the world bytes: the
-    fingerprint under injected crashes equals the fault-free one
-    (``docs/resilience.md``).
-    """
-    import multiprocessing
-    import queue as queue_mod
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    global _CHUNK_QUEUE
-
-    profiler = profiler_active()
-    profile_interval = None
-    if profiler is not None:
-        # Workers sample wall time but only get cpu/jobs of a core when
-        # the pool oversubscribes the machine — scale their interval by
-        # the oversubscription factor so sample density (and sampling
-        # overhead) per CPU-second stays what the configured interval
-        # asks for.  A no-op (factor 1) when cores >= jobs.
-        oversub = max(1.0, jobs / (os.cpu_count() or jobs))
-        profile_interval = profiler.interval * oversub
-    counts = capick_draw_counts(config, targets)
-    keys = shard_keys(targets)
-    payloads = {}
-    offsets: Dict[ShardKey, int] = {}
-    offset = 0
-    for key in keys:
-        tld, month = key
-        offsets[key] = offset
-        payloads[key] = (config, targets[tld], month, offset,
-                         profile_interval)
-        offset += counts[key]
-    submission = lpt_order(shard_estimates(config, targets))
-    # fork keeps worker start-up (re-import, re-calibration) off the
-    # critical path where the platform allows it, and is what lets the
-    # chunk queue be inherited rather than pickled.
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else None)
-    chunk_queue = context.Queue() if "fork" in methods else None
-
-    trace = tracer()
-    worker_ids: Dict[int, int] = {}
-    metrics = get_resilience_metrics()
-    log = get_logger("resilience")
-    deadline = config.shard_deadline
-    progress = build_progress()
-
-    months = cal.MONTH_KEYS
-    #: Per-TLD merge cursor: index of the month whose shard must finish
-    #: applying before the next month's rows may enter the registry.
-    month_pos: Dict[str, int] = {tld: 0 for tld in sorted(targets)}
-    #: Next chunk sequence number to apply, per shard.
-    next_seq: Dict[ShardKey, int] = {key: 0 for key in keys}
-    #: Arrived-but-unapplied chunks, per shard, keyed by sequence.
-    buffered: Dict[ShardKey, Dict[int, list]] = {key: {} for key in keys}
-    #: Total chunk count of a shard (known once its result lands).
-    total_chunks: Dict[ShardKey, int] = {}
-    #: Completed shard trailers awaiting in-order application:
-    #: (rows|None, dirty_ticks, dzdb_rows, tokens, events, stats).
-    trailing: Dict[ShardKey, tuple] = {}
-    #: Fully merged shards (rows + trailer applied).
-    merged: Set[ShardKey] = set()
-    #: Scenario-global results, applied in canonical order at the end.
-    deferred: Dict[ShardKey, tuple] = {}
-    #: Poison shards headed for the in-process serial fallback.
-    fallback: Set[ShardKey] = set()
-    #: Monotone progress counter (chunk arrivals + future completions);
-    #: the stall guard watches it while only chunks remain in flight.
-    ticks = 0
-
-    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
-    pending: Dict[object, Tuple[ShardKey, int, float]] = {}
-    #: Futures whose hung workers were abandoned past the deadline; a
-    #: slot may still be burning, so shutdown must not wait on them.
-    abandoned = 0
-
-    progress.set_shards_source(lambda: (len(merged), len(keys)))
-
-    def _slowest_shard() -> str:
-        entries = list(pending.values())
-        if not entries:
-            return ""
-        key, _attempt, _t0 = min(entries, key=lambda e: e[2])
-        return shard_label(key)
-
-    progress.set_current_shard_source(_slowest_shard)
-
-    def accept_chunk(key: ShardKey, seq: int, rows: list) -> None:
-        nonlocal ticks
-        # Dedup: retries and abandoned-but-still-running workers push
-        # byte-identical chunks; anything already applied or buffered
-        # is dropped here, which is what makes recovery idempotent.
-        if seq >= next_seq[key] and seq not in buffered[key]:
-            buffered[key][seq] = rows
-            ticks += 1
-
-    def drain_queue(block_sec: float) -> None:
-        if chunk_queue is None:
-            return
-        try:
-            message = (chunk_queue.get(timeout=block_sec) if block_sec > 0
-                       else chunk_queue.get_nowait())
-        except queue_mod.Empty:
-            return
-        except (OSError, EOFError):    # reader hiccup: retry next pass
-            return
-        while True:
-            accept_chunk(*message)
-            try:
-                message = chunk_queue.get_nowait()
-            except (queue_mod.Empty, OSError, EOFError):
-                return
-
-    def advance_merge() -> None:
-        # Apply every applicable chunk: per TLD, months strictly in
-        # chronological order (registry insertion order is canonical),
-        # chunks in sequence order within a month.
-        for tld, registry_tld in ((t, registries.get(t)) for t in month_pos):
-            while True:
-                pos = month_pos[tld]
-                if pos >= len(months):
-                    break
-                key = (tld, months[pos])
-                chunks = buffered[key]
-                while next_seq[key] in chunks:
-                    rows = chunks.pop(next_seq[key])
-                    registry_tld.register_many(rows)
-                    next_seq[key] += 1
-                    if on_rows is not None:
-                        on_rows(len(rows))
-                if (key not in trailing
-                        or total_chunks.get(key) != next_seq[key]):
-                    break   # shard incomplete or chunks still in flight
-                (rows_whole, dirty_ticks, dzdb_rows, tokens, shard_events,
-                 shard_stats) = trailing.pop(key)
-                if rows_whole is not None:   # non-streaming result
-                    registry_tld.register_many(rows_whole)
-                    if on_rows is not None:
-                        on_rows(len(rows_whole))
-                registry_tld.register_many((), dirty_ticks)
-                cert_events.extend(shard_events)
-                deferred[key] = (dzdb_rows, tokens, shard_stats)
-                merged.add(key)
-                buffered[key].clear()
-                month_pos[tld] = pos + 1
-
-    def record_result(result) -> None:
-        nonlocal ticks
-        (key, rows_whole, n_chunks, dirty_ticks, dzdb_rows, tokens,
-         shard_events, shard_stats, worker_pid, span_records,
-         profile_counts) = result
-        worker = worker_ids.setdefault(worker_pid, len(worker_ids))
-        trace.adopt_spans(span_records, parent=merge_span, worker=worker)
-        if profiler is not None and profile_counts:
-            profiler.merge_counts(profile_counts)
-        total_chunks[key] = n_chunks
-        trailing[key] = (rows_whole, dirty_ticks, dzdb_rows, tokens,
-                         shard_events, shard_stats)
-        ticks += 1
-
-    def resolved(key: ShardKey) -> bool:
-        """Nothing left to wait for: merged, routed to fallback, or
-        result landed with every chunk applied or buffered."""
-        if key in merged or key in fallback:
-            return True
-        if key not in total_chunks:
-            return False
-        return next_seq[key] + len(buffered[key]) >= total_chunks[key]
-
-    def handle_failure(key: ShardKey, attempt: int, reason: str,
-                       resubmit: Callable[[ShardKey, int], None]) -> None:
-        label = shard_label(key)
-        metrics.worker_failures.labels(reason=reason).inc()
-        if attempt < config.max_shard_retries:
-            metrics.shard_retries.inc()
-            log.warning(f"build shard {label} {reason} "
-                        f"(attempt {attempt}); retrying",
-                        tld=key[0], month=key[1], attempt=attempt,
-                        reason=reason)
-            with span("recovery.shard_retry", tld=key[0], month=key[1],
-                      attempt=attempt + 1, reason=reason):
-                resubmit(key, attempt + 1)
-            return
-        if config.serial_fallback:
-            metrics.serial_fallbacks.inc()
-            log.warning(f"build shard {label} exhausted "
-                        f"{config.max_shard_retries} retries; "
-                        f"rebuilding in-process",
-                        tld=key[0], month=key[1], attempt=attempt,
-                        reason=reason)
-            fallback.add(key)
-            return
-        raise ShardRetryExhausted(
-            f"build shard {label} failed {attempt + 1} attempt(s) "
-            f"({reason}) and serial fallback is disabled")
-
-    def submit(key: ShardKey, attempt: int) -> None:
-        future = pool.submit(_build_shard_worker, payloads[key] + (attempt,))
-        pending[future] = (key, attempt, time.monotonic())
-
-    _CHUNK_QUEUE = chunk_queue
-    try:
-        for key in submission:
-            submit(key, 0)
-        stall_t0 = time.monotonic()
-        stall_ticks = ticks
-        while True:
-            advance_merge()
-            if all(resolved(key) for key in keys):
-                break
-            if chunk_queue is not None:
-                # Streamed chunks are the main-loop heartbeat: block
-                # briefly on the queue, then poll futures without
-                # blocking (deadline granularity is the 50 ms wait).
-                drain_queue(0.05)
-                timeout: Optional[float] = 0
-            else:
-                timeout = None
-                if deadline is not None and pending:
-                    next_overrun = min(t0 + deadline
-                                       for _, _, t0 in pending.values())
-                    timeout = max(0.01, next_overrun - time.monotonic())
-            if pending:
-                done, _ = wait(set(pending), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    key, attempt, _t0 = pending[future]
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        raise  # every in-flight shard is lost; see below
-                    except Exception as exc:
-                        pending.pop(future)
-                        if isinstance(exc, WorkerCrashError):
-                            metrics.faults_injected.labels(
-                                kind="worker.crash").inc()
-                        handle_failure(key, attempt, "crash", submit)
-                        continue
-                    pending.pop(future)
-                    record_result(result)
-                if deadline is not None:
-                    now = time.monotonic()
-                    for future, (key, attempt, t0) in list(pending.items()):
-                        if now - t0 >= deadline:
-                            pending.pop(future)
-                            if not future.cancel():
-                                abandoned += 1
-                            handle_failure(key, attempt, "deadline", submit)
-            else:
-                # Every future is accounted for; only in-flight queue
-                # chunks (a worker's feeder thread) can still settle
-                # the rest.  Guard against a lost chunk with a stall
-                # timer rather than spinning forever.
-                if ticks != stall_ticks:
-                    stall_t0, stall_ticks = time.monotonic(), ticks
-                elif time.monotonic() - stall_t0 > _CHUNK_STALL_SEC:
-                    stuck = [key for key in keys if not resolved(key)]
-                    log.error("merge chunks stalled; rebuilding "
-                              "unsettled shards in-process",
-                              shards=",".join(map(shard_label, stuck)))
-                    for key in stuck:
-                        metrics.worker_failures.labels(
-                            reason="chunk_stall").inc()
-                        metrics.serial_fallbacks.inc()
-                    fallback.update(stuck)
-    except BrokenProcessPool:
-        # A worker died at the OS level (segfault, OOM kill): the pool
-        # is unusable, every in-flight shard is lost, and chunks still
-        # sitting in dead feeder threads will never arrive.  Route
-        # everything unsettled through the serial fallback rather than
-        # killing the run (already-applied chunks are kept — the
-        # rebuild's identical chunks dedup against them).
-        pending.clear()
-        drain_queue(0)    # salvage whatever reached the pipe intact
-        lost = [key for key in keys if not resolved(key)]
-        if not config.serial_fallback:
-            raise ShardRetryExhausted(
-                "worker pool broke; lost shards: "
-                + ", ".join(map(shard_label, lost)))
-        log.error("worker pool broke; rebuilding lost shards in-process",
-                  shards=",".join(map(shard_label, lost)))
-        for key in lost:
-            metrics.worker_failures.labels(reason="pool_broken").inc()
-            metrics.serial_fallbacks.inc()
-        fallback.update(lost)
-    finally:
-        _CHUNK_QUEUE = None
-        # A worker abandoned past its deadline may still be burning a
-        # slot; only wait for the pool when every worker is accounted
-        # for (orphans are joined at interpreter exit).
-        pool.shutdown(wait=abandoned == 0, cancel_futures=True)
-
-    # Settle the stragglers in canonical order: rebuild poison shards
-    # in-process (their chunks land in the same dedup path), and let
-    # each settled shard unblock the buffered months behind it.
-    for key in keys:
-        if key in merged:
-            continue
-        if key in fallback:
-            with span("recovery.serial_fallback", tld=key[0],
-                      month=key[1]):
-                result = _build_shard_arrays(
-                    config, targets[key[0]], key[1], offsets[key],
-                    chunk_sink=lambda seq, rows, _key=key:
-                        accept_chunk(_key, seq, rows))
-            (_key, rows_whole, n_chunks, dirty_ticks, dzdb_rows, tokens,
-             shard_events, shard_stats) = result
-            total_chunks[key] = n_chunks
-            trailing[key] = (rows_whole, dirty_ticks, dzdb_rows, tokens,
-                             shard_events, shard_stats)
-        advance_merge()
-    if len(merged) != len(keys):    # impossible by construction; loud > quiet
-        missing = [shard_label(k) for k in keys if k not in merged]
-        raise ShardRetryExhausted(
-            f"shards never merged: {', '.join(missing)}")
-
-    for key in sorted(deferred):
-        dzdb_rows, tokens, shard_stats = deferred[key]
-        dzdb.merge_rows(dzdb_rows)
-        for ca_index, domain, validated_at in tokens:
-            seed_token(ca_index, domain, validated_at)
-        for stat_key, value in shard_stats.items():
-            stats[stat_key] += value
 
 
 @contextmanager
@@ -1286,7 +570,7 @@ def build_world(config: Optional[ScenarioConfig] = None) -> World:
 
     Args:
         config: scenario knobs (seed, scale, TLD subset, ablation
-            toggles, ``parallel`` worker count); defaults to
+            toggles); defaults to
             ``ScenarioConfig()`` — the 1/500-scale paper window.
 
     Returns:
@@ -1295,10 +579,8 @@ def build_world(config: Optional[ScenarioConfig] = None) -> World:
         by the scenario's CAs, the snapshot archive, DZDB history,
         blocklists, the NOD feed, and a message broker.
 
-    The build is deterministic in ``config.seed`` — and *only* the
-    seed: :func:`world_fingerprint` is bit-identical for any
-    ``parallel`` setting, so the multi-core build is a pure wall-clock
-    lever (the contract and its mechanics live in
+    The build is deterministic in ``config``: :func:`world_fingerprint`
+    pins it per seed (the stream layout behind that lives in
     ``docs/determinism.md``).  The cyclic GC is paused while the world
     materialises and the finished heap is frozen; see :func:`_gc_paused`.
     """
@@ -1318,9 +600,8 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
     config = config if config is not None else ScenarioConfig()
     plugin = config.plugin()
     if plugin is not None:
-        # configure() runs once, here in the parent, before anything is
-        # derived from the config; workers receive the configured copy
-        # in their payloads and never re-apply it.
+        # configure() runs once, before anything is derived from the
+        # config.
         config = plugin.configure(config)
     bank = StreamBank(config.seed)
     with span("build.calibrate"):
@@ -1331,9 +612,8 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
             raise ConfigError(f"unknown TLDs requested: {sorted(unknown)}")
         targets = {t: targets[t] for t in config.tlds}
     if plugin is not None:
-        # Target transforms land before the counting pass, so capick
-        # offsets, shard estimates, and worker payloads all see the
-        # scenario's targets — multi-core safety by construction.
+        # Target transforms land before any shard runs, so every shard
+        # sees the scenario's targets.
         targets = plugin.transform_targets(config, targets)
 
     # Size the process name interner from the planned world volume so
@@ -1375,52 +655,26 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
     cert_events: List[CertEvent] = []
 
     # --- gTLD populations -------------------------------------------------------
-    # Each (tld, month) shard's generation is independent given its
-    # streams; only the capick CA-pick stream is shared, and its
-    # per-shard draw counts are known up front.  So the serial and
-    # multi-core paths run the SAME per-shard code (_populate_shard) —
-    # serial against the live substrates in canonical shard order,
-    # parallel against worker-private ones whose rows stream back and
-    # merge in canonical order.  Either way the resulting world is
-    # bit-identical (docs/determinism.md).
+    # One (tld, month) shard at a time, in canonical order: every stream
+    # a shard draws from is (tld, month)-scoped except the shared capick
+    # CA-pick stream, whose draws therefore follow this order
+    # (docs/determinism.md).  The stats dict is live (bumped per
+    # registration), so it is the progress source directly.
     n_shards = len(targets) * len(cal.MONTH_KEYS)
-    jobs = _resolve_jobs(config.parallel, n_shards)
     progress = build_progress()
-    if jobs > 1:
-        # Workers instrument themselves (span + profiler); the parent
-        # stitches their records in under this merge span as shards
-        # arrive, and the merged-row count feeds the progress gauge.
-        merged_rows = {"n": 0}
-
-        def _count_rows(n: int) -> None:
-            merged_rows["n"] += n
-
-        progress.set_registrations_source(lambda: merged_rows["n"])
-        with span("build.merge_shards", jobs=jobs,
-                  shards=n_shards) as merge_span:
-            _merge_shards(config, targets, jobs, registries, dzdb,
-                          seed_token, cert_events, stats,
-                          merge_span=merge_span
-                          if isinstance(merge_span, Span) else None,
-                          on_rows=_count_rows)
-    else:
-        # The serial build's stats dict is live (bumped per
-        # registration), so it is the progress source directly.
-        progress.set_registrations_source(
-            lambda: stats["registrations"] + stats["baseline"]
-            + stats["held_domains"])
-        shards_done = {"n": 0}
-        progress.set_shards_source(lambda: (shards_done["n"], n_shards))
-        for tld, tld_targets in sorted(targets.items()):
-            registry = registries.get(tld)
-            for month in cal.MONTH_KEYS:
-                with span("build.populate_shard", tld=tld,
-                          month=month) as sp:
-                    _populate_shard(config, tld_targets, month, bank,
-                                    registry, dzdb, seed_token,
-                                    cert_events, stats)
-                    sp.annotate(nrd=tld_targets.monthly_nrd.get(month, 0))
-                shards_done["n"] += 1
+    progress.set_registrations_source(
+        lambda: stats["registrations"] + stats["baseline"]
+        + stats["held_domains"])
+    shards_done = {"n": 0}
+    progress.set_shards_source(lambda: (shards_done["n"], n_shards))
+    for tld, tld_targets in sorted(targets.items()):
+        registry = registries.get(tld)
+        for month in cal.MONTH_KEYS:
+            with span("build.populate_shard", tld=tld, month=month) as sp:
+                _populate_shard(config, tld_targets, month, bank, registry,
+                                dzdb, seed_token, cert_events, stats)
+                sp.annotate(nrd=tld_targets.monthly_nrd.get(month, 0))
+            shards_done["n"] += 1
 
     # --- ccTLD population (the §4.4b ground-truth registry) ------------------------
     if cctld_tld is not None:

@@ -4,34 +4,36 @@ ROADMAP item "scenario engine + observer layer", half (a): instead of
 forking :func:`~repro.workload.scenario.build_world` per experiment,
 a *scenario* is a small plugin that composes over the existing
 lifecycle/timeline machinery through three hooks, each running at a
-well-defined point of the (deterministic, multi-core) build:
+well-defined point of the (deterministic) build:
 
 * :meth:`Scenario.configure` — rewrite the :class:`ScenarioConfig`
   before any substrate exists (e.g. a slow registry publishing
   snapshots every other day);
 * :meth:`Scenario.transform_targets` — rewrite the calibrated
-  :class:`~repro.workload.calibration.TLDTargets` before the counting
-  pass, so ``capick_draw_counts`` / ``shard_estimates`` stay exact;
+  :class:`~repro.workload.calibration.TLDTargets` before any shard
+  is generated;
 * :meth:`Scenario.transform_month_plan` — extend or perturb one
   ``(tld, month)`` shard's registration/ghost plans through a
   :class:`MonthPlanContext`.
 
-The month-plan hook runs *inside* ``_plan_month_for_tld`` — identically
-in the serial build and in every pool worker — and draws only from the
-shard's dedicated ``("scenario", tld, month)`` / ``("scnames", ...)``
-streams, so every scenario world keeps the build's two invariants:
+The month-plan hook runs *inside* ``_plan_month_for_tld`` and draws
+only from the shard's dedicated ``("scenario", tld, month)`` /
+``("scnames", ...)`` streams, so every scenario world keeps the
+build's two invariants:
 
-* ``world_fingerprint`` is bit-identical for any ``parallel`` setting
-  (jobs=1 ≡ jobs=N, pinned per scenario in
+* ``world_fingerprint`` is a pure function of the seed and the
+  scenario spec (pinned per scenario in
   ``benchmarks/BENCH_scenarios.json``);
 * ``scenario="baseline"`` builds the *same bytes* as ``scenario=None``
   — an identity plugin touches no stream the base build reads.
 
 Scenario-planned ghost certificates MUST pin their CA
-(``GhostCertPlan.ca_index``): the shared ``capick`` stream's per-shard
-draw counts are a pure function of the (transformed) targets, and an
-unpinned extra ghost would shift every later shard's fast-forward
-offset.  :meth:`MonthPlanContext.add_ghost` does this for you.
+(``GhostCertPlan.ca_index``): the shared ``capick`` stream is consumed
+shard after shard in canonical order, so an unpinned extra ghost would
+draw from it and shift the CA pick of every calibrated ghost and held
+domain in every later shard — a scenario in ``com`` would change
+``xyz``'s certificates.  Pinning keeps each plugin's effect local to
+its own streams.  :meth:`MonthPlanContext.add_ghost` does this for you.
 
 Registering a plugin::
 
@@ -47,9 +49,8 @@ Registering a plugin::
             ...
 
 Every registered scenario is pinned by the scenario-matrix suite
-(``tests/test_scenarios.py``): a committed fingerprint golden, a
-jobs=1 ≡ jobs=2 proof, a counting-pass audit, and an observer
-expectation (``repro.obs.observers.SCENARIO_EXPECTATIONS``) asserting
+(``tests/test_scenarios.py``): a committed fingerprint golden and an
+observer expectation (``repro.obs.observers.SCENARIO_EXPECTATIONS``) asserting
 which anomaly detector the scenario must light up.  Authoring guide:
 ``docs/scenarios.md``.
 """
@@ -182,7 +183,7 @@ class MonthPlanContext:
 
         Pinning (``ca_index``) is what keeps scenario ghosts off the
         shared ``capick`` stream — they draw their CA here, from the
-        scenario stream, so the counting pass stays exact.
+        scenario stream, so later shards' CA picks never shift.
         """
         rng = self.rng
         requested_at = int(requested_at)
@@ -238,7 +239,7 @@ class Scenario:
     def configure(self, config):
         """Rewrite the scenario config before the build starts.
 
-        Runs once, in the parent process, before targets are built.
+        Runs once, before targets are built.
         Return a (possibly replaced) config; never mutate the caller's.
         """
         return config
@@ -248,18 +249,17 @@ class Scenario:
                           ) -> Dict[str, TLDTargets]:
         """Rewrite the calibrated per-TLD targets.
 
-        Runs once, after the TLD filter and before the counting pass —
-        ghost/held volumes derived from the returned targets are what
-        ``capick_draw_counts`` and the worker fast-forward offsets see,
-        so target perturbations stay multi-core safe by construction.
+        Runs once, after the TLD filter and before any shard is
+        generated, so every shard's ghost/held volumes derive from the
+        returned targets.
         """
         return targets
 
     def transform_month_plan(self, ctx: MonthPlanContext) -> None:
         """Extend/perturb one ``(tld, month)`` shard's plans in place.
 
-        Runs per shard at the end of ``_plan_month_for_tld`` — in the
-        serial build and in every worker alike.  Draw only from
+        Runs per shard at the end of ``_plan_month_for_tld``.  Draw
+        only from
         ``ctx.rng`` / ``ctx.namegen``.
         """
 
@@ -398,9 +398,8 @@ class DropCatchRace(Scenario):
     certificates anyway, for names they never obtained: CT entries with
     no delegation behind them, which is what spikes ``dark_hosts``.
     The catch economy also runs hotter overall: calibrated transient
-    volume is boosted by ``transient_boost``, which perturbs the
-    ghost/held populations the counting pass must keep exact (audited
-    per scenario in ``tests/test_workload.py``).
+    volume is boosted by ``transient_boost``, which also grows the
+    calibrated ghost/held populations (and so their capick draws).
     """
 
     name = "drop-catch-race"

@@ -60,47 +60,6 @@ class TestWorldFingerprintGolden:
         assert other != expected
 
 
-class TestMultiCoreBuildIsBitIdentical:
-    """The multi-core world build's headline guarantee: ``parallel=N``
-    is a pure wall-clock lever — every sampled value, every insertion
-    order, every counter matches the serial build exactly (see
-    docs/determinism.md for why).
-    """
-
-    def test_golden_fingerprint_holds_under_parallel_build(self):
-        # The committed golden was recorded from a serial build; a
-        # 3-worker build must reproduce the identical digest.
-        config, expected = GOLDEN_FINGERPRINTS["gtld_small"]
-        assert world_fingerprint(
-            build_world(replace(config, parallel=3))) == expected
-
-    @pytest.mark.parametrize("inv_scale", [500, 100])
-    def test_jobs1_equals_jobs4(self, inv_scale):
-        # The acceptance points: 1/500 and 1/100 scale, jobs=1 vs
-        # jobs=4.  The ccTLD population stays on at 1/500 so the
-        # serial-after-merge interplay is covered too.
-        config = ScenarioConfig(seed=7, scale=1.0 / inv_scale,
-                                include_cctld=(inv_scale == 500))
-        serial = build_world(config)
-        parallel = build_world(replace(config, parallel=4))
-        assert world_fingerprint(serial) == world_fingerprint(parallel)
-        assert serial.stats == parallel.stats
-        # Insertion order is part of the contract (analyses iterate
-        # lifecycles in registration order).
-        for reg_s, reg_p in zip(serial.registries, parallel.registries):
-            assert reg_s.tld == reg_p.tld
-            assert ([lc.domain for lc in reg_s.lifecycles()]
-                    == [lc.domain for lc in reg_p.lifecycles()])
-            # SOA serials derive from the merged dirty ticks.
-            end = config.window.end
-            assert reg_s.serial_at(end) == reg_p.serial_at(end)
-
-    def test_jobs_zero_means_auto(self):
-        config, expected = GOLDEN_FINGERPRINTS["gtld_small"]
-        assert world_fingerprint(
-            build_world(replace(config, parallel=0))) == expected
-
-
 class TestScenarioIdentity:
     """The scenario engine's zero-cost guarantee: ``scenario="baseline"``
     (the identity plugin) builds the same bytes as ``scenario=None`` —
@@ -112,11 +71,6 @@ class TestScenarioIdentity:
         config, expected = GOLDEN_FINGERPRINTS["gtld_small"]
         assert world_fingerprint(build_world(
             replace(config, scenario="baseline"))) == expected
-
-    def test_baseline_equals_none_under_parallel_build(self):
-        config, expected = GOLDEN_FINGERPRINTS["gtld_small"]
-        assert world_fingerprint(build_world(
-            replace(config, scenario="baseline", parallel=2))) == expected
 
 
 @pytest.fixture(scope="module")
@@ -167,11 +121,11 @@ class TestDeterminism:
 
 
 class TestInstrumentedBuildMatchesGolden:
-    """The observability acceptance gate: a multi-core build with the
-    tracer *and* the sampling profiler running must reproduce the
-    committed golden fingerprint bit-identically — telemetry draws no
-    RNG and never perturbs a sampled value — and the parent tracer must
-    hold the stitched per-worker ``build.populate_shard`` spans.
+    """The observability acceptance gate: a build with the tracer *and*
+    the sampling profiler running must reproduce the committed golden
+    fingerprint bit-identically — telemetry draws no RNG and never
+    perturbs a sampled value — and the tracer must hold one
+    ``build.populate_shard`` span per ``(tld, month)`` shard.
     """
 
     @staticmethod
@@ -182,15 +136,14 @@ class TestInstrumentedBuildMatchesGolden:
                 / "benchmarks" / "BENCH_worldgen.json")
         return json.loads(path.read_text())
 
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_profiled_parallel_build_hits_golden(self, jobs):
+    def test_profiled_build_hits_golden(self):
         from repro.obs.profiler import SamplingProfiler
         from repro.obs.spans import tracer
 
         pinned = self._pinned()
         config = ScenarioConfig(
             seed=pinned["seed"], scale=1.0 / pinned["inv_scale"],
-            include_cctld=pinned["include_cctld"], parallel=jobs)
+            include_cctld=pinned["include_cctld"])
         trace = tracer()
         trace.reset()
         profiler = SamplingProfiler(interval=0.002).start()
@@ -199,15 +152,15 @@ class TestInstrumentedBuildMatchesGolden:
         finally:
             profiler.stop()
 
-        # Bit-identical to the committed serial golden, telemetry on.
+        # Bit-identical to the committed golden, telemetry on.
         assert world_fingerprint(world) == pinned["fingerprint"]
+        assert profiler.phase_samples().get("build.populate_shard", 0) > 0
 
-        # Every worker's populate spans were stitched into the parent:
-        # one span per (tld, month) shard, three months per TLD.
+        # One populate span per (tld, month) shard, three months per
+        # TLD, each directly under the one build.world span.
         from repro.workload import calibration as cal
 
         totals = trace.phase_totals()
-        assert "build.populate_shard" in totals
         populate = [s for s in trace.spans
                     if s.name == "build.populate_shard"]
         assert len(populate) == len(cal.MONTH_KEYS) * len(world.targets)
@@ -215,14 +168,8 @@ class TestInstrumentedBuildMatchesGolden:
         assert ({(s.labels["tld"], s.labels["month"]) for s in populate}
                 == {(tld, month) for tld in world.targets
                     for month in cal.MONTH_KEYS})
-        assert all("worker" in s.labels for s in populate)
-        # Re-rooted under the one merge span, one level down.
-        (merge,) = [s for s in trace.spans
-                    if s.name == "build.merge_shards"]
-        assert all(s.parent_id == merge.span_id for s in populate)
-        assert all(s.depth == merge.depth + 1 for s in populate)
-        # Per-shard wall time survived the stitch (straggler evidence).
+        (root,) = [s for s in trace.spans if s.name == "build.world"]
+        assert all(s.parent_id == root.span_id for s in populate)
+        assert all(s.depth == root.depth + 1 for s in populate)
+        # Per-shard wall time is recorded (straggler evidence).
         assert all(s.wall_sec > 0 for s in populate)
-        # Every worker process contributed spans.
-        workers = {s.labels["worker"] for s in populate}
-        assert len(workers) == min(jobs, len(populate))

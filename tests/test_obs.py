@@ -324,9 +324,34 @@ class TestSpans:
 
     def test_labels_coerced_to_strings(self):
         t = Tracer()
-        with t.span("build.merge_shards", jobs=4):
+        with t.span("build.populate_shard", nrd=4):
             pass
-        assert t.spans[0].labels == {"jobs": "4"}
+        assert t.spans[0].labels == {"nrd": "4"}
+
+    def test_current_and_root_span(self):
+        t = Tracer()
+        assert t.current_span() is None and t.root_span() is None
+        with t.span("outer") as outer:
+            with t.span("inner") as inner:
+                assert t.current_span() is inner
+                assert t.root_span() is outer
+        assert t.current_span() is None
+
+    def test_rss_growth_zero_when_under_earlier_peak(self, monkeypatch):
+        from repro.obs import spans as spans_mod
+        rss = iter([1000, 1500, 1500, 1500])  # enter/exit, enter/exit
+        monkeypatch.setattr(spans_mod, "_peak_rss_kb", lambda: next(rss))
+        t = Tracer()
+        with t.span("grew"):
+            pass
+        with t.span("flat"):
+            pass
+        grew, flat = t.spans
+        assert grew.rss_growth_kb == 500 and grew.peak_rss_kb == 1500
+        assert flat.rss_growth_kb == 0 and flat.peak_rss_kb == 1500
+        totals = t.phase_totals()
+        assert totals["grew"]["rss_growth_kb"] == 500
+        assert totals["flat"]["rss_growth_kb"] == 0
 
     def test_disabled_tracer_yields_null_span(self):
         t = Tracer(enabled=False)
@@ -902,107 +927,6 @@ class TestAdaptersAndDeterminism:
 
 
 # --------------------------------------------------------------------------
-# Cross-process span stitching (adopt_spans / from_dict / rss growth)
-# --------------------------------------------------------------------------
-
-class TestSpanStitching:
-
-    @staticmethod
-    def _worker_records():
-        """Records the way a worker produces them: reset tracer, one
-        populate span with a nested child."""
-        w = Tracer()
-        with w.span("build.populate_tld", tld="com") as sp:
-            with w.span("inner"):
-                pass
-            sp.annotate(nrd=120)
-        return w.export_records()
-
-    def test_from_dict_round_trips_as_dict(self):
-        t = Tracer()
-        with t.span("build.populate_tld", tld="com") as sp:
-            sp.annotate(sim_sec=_DAY, nrd=9)
-        record = t.spans[0].as_dict()
-        from repro.obs.spans import Span
-        assert Span.from_dict(record).as_dict() == record
-
-    def test_adopt_remaps_ids_and_reroots_under_parent(self):
-        records = self._worker_records()
-        t = Tracer()
-        with t.span("build.merge_shards", jobs=2) as merge:
-            assert t.adopt_spans(records, parent=merge, worker=1) == 2
-        # Finish order: inner, populate, merge.
-        inner, populate, merge_done = t.spans
-        assert inner.name == "inner" and populate.name == "build.populate_tld"
-        # Foreign ids were remapped onto the local sequence (the merge
-        # span took local id 0; adopted spans follow).
-        assert {inner.span_id, populate.span_id} == {1, 2}
-        assert inner.parent_id == populate.span_id   # intra-batch link kept
-        assert populate.parent_id == merge_done.span_id  # root re-rooted
-        assert populate.depth == 1 and inner.depth == 2  # shifted under it
-        assert populate.labels == {"tld": "com", "worker": "1"}
-        assert populate.annotations == {"nrd": 120}
-
-    def test_adopted_spans_feed_aggregates_and_sink(self):
-        records = self._worker_records()
-        events = []
-        t = Tracer(sink=events.append)
-        t.adopt_spans(records, worker=0)
-        totals = t.phase_totals()
-        assert totals["build.populate_tld"]["count"] == 1
-        assert totals["inner"]["count"] == 1
-        assert [e["span"] for e in events] == ["inner", "build.populate_tld"]
-
-    def test_adopt_without_parent_keeps_roots(self):
-        records = self._worker_records()
-        t = Tracer()
-        t.adopt_spans(records)
-        populate = next(s for s in t.spans
-                        if s.name == "build.populate_tld")
-        assert populate.parent_id is None and populate.depth == 0
-
-    def test_adopt_is_noop_when_disabled(self):
-        records = self._worker_records()
-        t = Tracer(enabled=False)
-        assert t.adopt_spans(records, worker=3) == 0
-        assert t.spans == [] and t.phase_totals() == {}
-
-    def test_current_and_root_span(self):
-        t = Tracer()
-        assert t.current_span() is None and t.root_span() is None
-        with t.span("outer") as outer:
-            with t.span("inner") as inner:
-                assert t.current_span() is inner
-                assert t.root_span() is outer
-        assert t.current_span() is None
-
-    def test_rss_growth_zero_when_under_earlier_peak(self, monkeypatch):
-        from repro.obs import spans as spans_mod
-        rss = iter([1000, 1500, 1500, 1500])  # enter/exit, enter/exit
-        monkeypatch.setattr(spans_mod, "_peak_rss_kb", lambda: next(rss))
-        t = Tracer()
-        with t.span("grew"):
-            pass
-        with t.span("flat"):
-            pass
-        grew, flat = t.spans
-        assert grew.rss_growth_kb == 500 and grew.peak_rss_kb == 1500
-        assert flat.rss_growth_kb == 0 and flat.peak_rss_kb == 1500
-        totals = t.phase_totals()
-        assert totals["grew"]["rss_growth_kb"] == 500
-        assert totals["flat"]["rss_growth_kb"] == 0
-
-    def test_detach_sink_drops_without_closing(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        t = Tracer(sink=str(path))
-        handle = t._sink_file
-        t.detach_sink()
-        assert t._sink is None and t._sink_file is None
-        assert not handle.closed   # the parent still owns the handle
-        handle.close()
-
-
-# --------------------------------------------------------------------------
 # Sampling profiler
 # --------------------------------------------------------------------------
 
@@ -1037,14 +961,12 @@ class TestSamplingProfiler:
         assert prof.phase_samples() == {}
 
     def test_double_start_and_double_stop_are_noops(self):
-        from repro.obs.profiler import SamplingProfiler, active
+        from repro.obs.profiler import SamplingProfiler
         prof = SamplingProfiler(interval=0.01)
         assert prof.start() is prof
         thread = prof._thread
         assert prof.start() is prof and prof._thread is thread
-        assert active() is prof
         prof.stop()
-        assert active() is None
         prof.stop()                      # second stop: no-op, no raise
         assert not prof.running
 
@@ -1066,23 +988,26 @@ class TestSamplingProfiler:
         with pytest.raises(ValueError):
             SamplingProfiler(interval=0)
 
-    def test_merge_counts_and_collapsed_format(self):
+    @staticmethod
+    def _seeded(counts):
+        # Stand-in for sampled stacks: the output methods only read the
+        # phase-rooted collapsed-stack counts.
         from repro.obs.profiler import SamplingProfiler
         prof = SamplingProfiler(interval=60.0)
-        prof.merge_counts([("phase;mod.f;mod.g", 3), ("phase;mod.f", 2)])
-        prof.merge_counts([("phase;mod.f;mod.g", 1)])
+        prof._counts.update(counts)
+        prof.samples = sum(counts.values())
+        return prof
+
+    def test_collapsed_format(self):
+        prof = self._seeded({"phase;mod.f;mod.g": 4, "phase;mod.f": 2})
         assert prof.samples == 6
         assert prof.collapsed() == ["phase;mod.f;mod.g 4", "phase;mod.f 2"]
-        assert prof.export_counts() == [("phase;mod.f", 2),
-                                        ("phase;mod.f;mod.g", 4)]
         assert prof.top_frames() == {
             "phase": [("mod.g", 4), ("mod.f", 2)]}
         assert prof.phase_samples() == {"phase": 6}
 
     def test_write_collapsed(self, tmp_path):
-        from repro.obs.profiler import SamplingProfiler
-        prof = SamplingProfiler(interval=60.0)
-        prof.merge_counts([("p;a.b", 5)])
+        prof = self._seeded({"p;a.b": 5})
         path = tmp_path / "collapsed.txt"
         assert prof.write_collapsed(path) == 1
         assert path.read_text() == "p;a.b 5\n"

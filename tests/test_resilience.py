@@ -1,11 +1,10 @@
 """Tests for repro.resilience — chaos with a fixed seed.
 
 The load-bearing property of the whole layer: recovery must be
-*invisible in the output*.  A build that loses workers, a scan whose
-authorities melt down, a serve log with a torn tail — each must
-produce byte-identical artefacts to the undisturbed run (world
-fingerprint, salvaged records), differing only in the telemetry that
-says what was survived.
+*invisible in the output*.  A scan whose authorities melt down, a
+serve log with a torn tail — each must produce the artefacts of the
+undisturbed run (completed reports, salvaged records), differing only
+in the telemetry that says what was survived.
 """
 
 import json
@@ -23,8 +22,6 @@ from repro.errors import (
     ReproError,
     ResilienceError,
     SegmentCorruptionError,
-    ShardRetryExhausted,
-    WorkerCrashError,
 )
 from repro.resilience import (
     BreakerConfig,
@@ -46,22 +43,7 @@ from repro.serve.segments import (
 )
 from repro.serve.server import FeedServer, FeedServerConfig
 from repro.simtime.clock import HOUR, MINUTE
-from repro.workload.scenario import (
-    ScenarioConfig,
-    build_world,
-    world_fingerprint,
-)
-
-#: The tiny chaos world every determinism test rebuilds (cheap: ~1s).
-TINY = dict(seed=21, scale=1 / 5000, tlds=["com", "xyz", "top"],
-            include_cctld=False)
-#: Fingerprint of the undisturbed TINY world (pinned by
-#: test_determinism's goldens; recovery must reproduce it too).
-#: Epoch 2: re-recorded for the per-(tld, month) stream relayout.
-TINY_FINGERPRINT = "f43497fbdd28f526f290d8e71eaa881d"
-
-#: TINY builds 3 TLDs x 3 months = 9 (tld, month) shards.
-TINY_SHARDS = 9
+from repro.workload.scenario import ScenarioConfig
 
 
 @pytest.fixture(autouse=True)
@@ -78,10 +60,10 @@ def _fresh_metrics():
 class TestFaultPlan:
     def test_parse_cli_grammar(self):
         plan = FaultPlan.parse(
-            "seed=9;worker.crash:rate=0.5,fires=1;"
+            "seed=9;scan.servfail:rate=0.5,fires=1;"
             "scan.timeout:rate=0.1,target=com")
         assert plan.seed == 9
-        assert [s.kind for s in plan.specs] == ["worker.crash",
+        assert [s.kind for s in plan.specs] == ["scan.servfail",
                                                 "scan.timeout"]
         assert plan.specs[0].rate == 0.5
         assert plan.specs[0].fires == 1
@@ -93,12 +75,12 @@ class TestFaultPlan:
             "faults": [{"kind": "log.torn_write", "rate": 1.0}]}))
         assert plan.seed == 4
         assert plan.wants("log.torn_write")
-        assert not plan.wants("worker.crash")
+        assert not plan.wants("scan.servfail")
 
     def test_parse_file(self, tmp_path):
         spec = tmp_path / "plan.json"
         spec.write_text(json.dumps(
-            {"seed": 2, "faults": [{"kind": "worker.hang", "delay": 3}]}))
+            {"seed": 2, "faults": [{"kind": "scan.latency", "delay": 3}]}))
         plan = FaultPlan.parse(str(spec))
         assert plan.specs[0].delay == 3.0
 
@@ -112,11 +94,11 @@ class TestFaultPlan:
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ConfigError):
-            FaultPlan.parse("worker.crash:rate=1.5")
+            FaultPlan.parse("scan.servfail:rate=1.5")
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigError):
-            FaultPlan.parse("worker.crash:frequency=1")
+            FaultPlan.parse("scan.servfail:frequency=1")
 
     def test_all_kinds_parse(self):
         for kind in FAULT_KINDS:
@@ -134,32 +116,32 @@ class TestFaultPlan:
         assert 30 < hits < 90  # ~60 expected at rate 0.3
 
     def test_different_seeds_differ(self):
-        hit = {seed: [FaultPlan.parse(f"seed={seed};worker.crash:rate=0.5")
-                      .fires("worker.crash", f"d{i}") is not None
+        hit = {seed: [FaultPlan.parse(f"seed={seed};scan.servfail:rate=0.5")
+                      .fires("scan.servfail", f"d{i}") is not None
                       for i in range(64)]
                for seed in (1, 2)}
         assert hit[1] != hit[2]
 
     def test_order_independent(self):
         """The draw depends only on the key, not on call history."""
-        plan = FaultPlan.parse("seed=8;worker.crash:rate=0.5")
-        keys = [f"shard{i}" for i in range(50)]
-        forward = {k: plan.fires("worker.crash", k) is not None
+        plan = FaultPlan.parse("seed=8;scan.servfail:rate=0.5")
+        keys = [f"d{i}.com" for i in range(50)]
+        forward = {k: plan.fires("scan.servfail", k) is not None
                    for k in keys}
-        plan2 = FaultPlan.parse("seed=8;worker.crash:rate=0.5")
-        backward = {k: plan2.fires("worker.crash", k) is not None
+        plan2 = FaultPlan.parse("seed=8;scan.servfail:rate=0.5")
+        backward = {k: plan2.fires("scan.servfail", k) is not None
                     for k in reversed(keys)}
         assert forward == backward
 
     def test_target_filter(self):
-        plan = FaultPlan.parse("worker.crash:rate=1.0,target=com")
-        assert plan.fires("worker.crash", "com", target="com") is not None
-        assert plan.fires("worker.crash", "xyz", target="xyz") is None
+        plan = FaultPlan.parse("scan.servfail:rate=1.0,target=com")
+        assert plan.fires("scan.servfail", "a.com", target="com") is not None
+        assert plan.fires("scan.servfail", "a.xyz", target="xyz") is None
 
     def test_fires_cap_limits_attempts(self):
-        plan = FaultPlan.parse("worker.crash:rate=1.0,fires=1")
-        assert plan.fires("worker.crash", "s", attempt=0) is not None
-        assert plan.fires("worker.crash", "s", attempt=1) is None
+        plan = FaultPlan.parse("scan.servfail:rate=1.0,fires=1")
+        assert plan.fires("scan.servfail", "s", attempt=0) is not None
+        assert plan.fires("scan.servfail", "s", attempt=1) is None
 
     def test_time_window(self):
         plan = FaultPlan.parse("scan.servfail:rate=1.0,start=100,end=200")
@@ -322,83 +304,6 @@ class TestBackoff:
                           DecorrelatedJitterBackoff)
         with pytest.raises(ConfigError):
             make_backoff("fibonacci", 5)
-
-
-# ---------------------------------------------------------------------------
-# Supervised parallel build: chaos determinism
-# ---------------------------------------------------------------------------
-
-class TestSupervisedBuild:
-    def _fingerprint(self, **overrides):
-        config = ScenarioConfig(**{**TINY, **overrides})
-        return world_fingerprint(build_world(config))
-
-    def test_crash_recovery_reproduces_fingerprint(self):
-        # Every (tld, month) shard's first attempt crashes; every
-        # retry succeeds and the merged world is bit-identical.
-        fp = self._fingerprint(
-            parallel=4,
-            fault_plan="seed=3;worker.crash:rate=1.0,fires=1")
-        assert fp == TINY_FINGERPRINT
-        snap = get_resilience_metrics().snapshot()
-        assert snap["resilience_shard_retries_total"] == TINY_SHARDS
-        assert (snap["resilience_worker_failures_total"]
-                == {"crash": TINY_SHARDS})
-
-    def test_poison_shard_serial_fallback(self):
-        # Fault targets match shard labels ("tld:month"), so a glob
-        # poisons all three monthly shards of one TLD.
-        fp = self._fingerprint(
-            parallel=2, max_shard_retries=1,
-            fault_plan="seed=3;worker.crash:rate=1.0,target=xyz:*")
-        assert fp == TINY_FINGERPRINT
-        snap = get_resilience_metrics().snapshot()
-        assert snap["resilience_serial_fallbacks_total"] == 3
-
-    def test_single_shard_poison_falls_back_once(self):
-        fp = self._fingerprint(
-            parallel=2, max_shard_retries=1,
-            fault_plan="seed=3;worker.crash:rate=1.0,target=com:2023-12")
-        assert fp == TINY_FINGERPRINT
-        snap = get_resilience_metrics().snapshot()
-        assert snap["resilience_serial_fallbacks_total"] == 1
-
-    def test_hang_deadline_reproduces_fingerprint(self):
-        fp = self._fingerprint(
-            parallel=2, shard_deadline=0.5,
-            fault_plan="seed=3;worker.hang:rate=1.0,fires=1,"
-                       "target=com:2023-11,delay=5")
-        assert fp == TINY_FINGERPRINT
-        snap = get_resilience_metrics().snapshot()
-        assert snap["resilience_worker_failures_total"]["deadline"] >= 1
-
-    def test_fallback_disabled_raises(self):
-        with pytest.raises(ShardRetryExhausted):
-            self._fingerprint(
-                parallel=2, max_shard_retries=0, serial_fallback=False,
-                fault_plan="seed=3;worker.crash:rate=1.0,target=com:*")
-
-    def test_chaos_matches_committed_bench_fingerprint(self):
-        """The acceptance gate: a crash-ridden --jobs 4 build at the
-        canonical 1/500 point reproduces the committed perf-baseline
-        fingerprint bit for bit."""
-        baseline = (Path(__file__).resolve().parent.parent
-                    / "benchmarks" / "BENCH_worldgen.json")
-        committed = json.loads(baseline.read_text())
-        world = build_world(ScenarioConfig(
-            seed=committed["seed"], scale=1.0 / committed["inv_scale"],
-            include_cctld=committed["include_cctld"], parallel=4,
-            fault_plan="seed=3;worker.crash:rate=0.5,fires=1"))
-        assert world_fingerprint(world) == committed["fingerprint"]
-
-    def test_plan_string_coerced_by_config(self):
-        config = ScenarioConfig(**TINY,
-                                fault_plan="worker.crash:rate=0.5")
-        assert isinstance(config.fault_plan, FaultPlan)
-
-    def test_bad_retry_budget_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(**TINY, max_shard_retries=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -673,19 +578,35 @@ class TestFeedQuarantine:
 
 class TestErrorContract:
     def test_hierarchy(self):
-        for exc in (WorkerCrashError, ShardRetryExhausted,
-                    CircuitOpenError, SegmentCorruptionError):
+        for exc in (CircuitOpenError, SegmentCorruptionError):
             assert issubclass(exc, ResilienceError)
             assert issubclass(exc, ReproError)
 
-    def test_bad_fault_plan_exits_2(self):
+    def test_bad_fault_plan_exits_2(self, capsys):
         from repro.cli import main
-        assert main(["reproduce", "--fault-plan", "no.such.fault:rate=1",
-                     "--scale", "5000"]) == 2
+        # --fault-plan lives only on the commands that read it.
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--fault-plan", "scan.servfail:rate=1",
+                  "--scale", "5000"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for command in ("scan", "serve"):
+            assert main([command, "--fault-plan", "no.such.fault:rate=1",
+                         "--scale", "5000", "--no-cctld"]) == 2
+        # The build-worker kinds are gone; the error names what is left.
+        assert main(["scan", "--fault-plan", "worker.crash:rate=1",
+                     "--scale", "5000", "--no-cctld"]) == 2
+        err = capsys.readouterr().err
+        assert "worker.crash" in err
+        assert all(kind in err for kind in FAULT_KINDS)
+        assert len(FAULT_KINDS) == 5
 
-    def test_bad_plan_in_bench_world_config(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(**TINY, fault_plan="seed=x;worker.crash")
+    def test_parallel_build_config_rejected(self):
+        # The world build is serial: parallel=1 is the only legal value.
+        for parallel in (0, 2, 4):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(parallel=parallel)
+        assert ScenarioConfig(parallel=1).parallel == 1
 
 
 # ---------------------------------------------------------------------------

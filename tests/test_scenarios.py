@@ -6,8 +6,8 @@ Four layers of guarantees:
   CLI spec grammar, all under the uniform :class:`ConfigError` contract;
 * plan-hook plumbing — :class:`MonthPlanContext` helpers draw only from
   the scenario streams and stay deterministic;
-* the scenario matrix — every registered scenario builds at 1/2000 with
-  jobs=1 *and* jobs=2, reproduces the fingerprint golden committed in
+* the scenario matrix — every registered scenario builds at 1/2000,
+  reproduces the fingerprint golden committed in
   ``benchmarks/BENCH_scenarios.json``, and meets its observer
   expectation row (``baseline`` additionally swept across seeds);
 * expectations coverage — every registered scenario has an
@@ -133,22 +133,20 @@ class TestSpecParsing:
 
 
 # --------------------------------------------------------------------------
-# The scenario matrix: goldens, jobs proof, observer expectations
+# The scenario matrix: goldens, observer expectations
 # --------------------------------------------------------------------------
 
 @pytest.fixture(scope="module", params=scenario_names())
 def matrix_run(request):
-    """One scenario built serial + parallel, measured once per module."""
+    """One scenario built and measured once per module."""
     name = request.param
-    serial = build_world(_matrix_config(name))
-    parallel = build_world(_matrix_config(name, parallel=2))
+    world = build_world(_matrix_config(name))
     suite = default_pipeline_suite()
-    observe_pipeline_result(suite, run_pipeline(serial))
-    observe_world(suite, serial)
+    observe_pipeline_result(suite, run_pipeline(world))
+    observe_world(suite, world)
     return {
         "name": name,
-        "fingerprint": world_fingerprint(serial),
-        "parallel_fingerprint": world_fingerprint(parallel),
+        "fingerprint": world_fingerprint(world),
         "suite": suite,
     }
 
@@ -161,10 +159,6 @@ class TestScenarioMatrix:
             f"{matrix_run['name']}: scenario sampling was perturbed — "
             "re-record benchmarks/BENCH_scenarios.json and say so in "
             "the PR description")
-
-    def test_jobs1_equals_jobs2(self, matrix_run):
-        assert (matrix_run["fingerprint"]
-                == matrix_run["parallel_fingerprint"]), matrix_run["name"]
 
     def test_observer_expectations_met(self, matrix_run):
         problems = check_expectations(matrix_run["suite"],

@@ -23,7 +23,6 @@ from repro.workload.calibration import (
 from repro.workload.campaign import Campaign, plan_campaign
 from repro.workload.namegen import NameGenerator, subdomain_names
 from repro.workload.scenario import ScenarioConfig, build_world, small_world
-from repro.workload.scenarios import scenario_names
 from repro import paperdata
 
 
@@ -235,162 +234,3 @@ class TestScenario:
         world = small_world(seed=2, tlds=("com",), scale=1 / 5000)
         assert world.cctld_tld is None
         assert set(world.targets) == {"com"}
-
-
-class TestCapickDrawAccounting:
-    """The counting pass behind the multi-core build's fast-forward.
-
-    ``capick_draw_counts`` must predict, per ``(tld, month)`` shard,
-    exactly how many draws ``_populate_shard`` consumes from the shared
-    capick stream — otherwise a shard's fast-forward offset drifts and
-    every CA pick after the first mispredicted shard diverges from the
-    serial build.
-    """
-
-    def _audit(self, config):
-        from repro.czds.dzdb import DZDB
-        from repro.registry.policy import policy_for
-        from repro.registry.registry import Registry
-        from repro.simtime.rng import CountingStream, StreamBank
-        from repro.workload.scenario import (_STAT_KEYS, _populate_shard,
-                                             capick_draw_counts, shard_keys)
-
-        plugin = config.plugin()
-        if plugin is not None:
-            config = plugin.configure(config)
-        targets = cal.build_targets(config.scale)
-        if config.tlds is not None:
-            targets = {t: targets[t] for t in config.tlds}
-        if plugin is not None:
-            targets = plugin.transform_targets(config, targets)
-        predicted = capick_draw_counts(config, targets)
-        bank = StreamBank(config.seed)
-        counter = bank.adopt(CountingStream(config.seed, "capick"), "capick")
-        registries = {tld: Registry(policy_for(tld)) for tld in targets}
-        for tld, month in shard_keys(targets):
-            before = counter.random_draws
-            _populate_shard(config, targets[tld], month, bank,
-                            registries[tld], DZDB(),
-                            lambda index, domain, ts: None, [],
-                            dict.fromkeys(_STAT_KEYS, 0))
-            assert (counter.random_draws - before
-                    == predicted[(tld, month)]), (tld, month)
-        return predicted
-
-    def test_counts_match_consumption(self):
-        predicted = self._audit(ScenarioConfig(
-            seed=13, scale=1 / 2000, tlds=["com", "xyz", "top", "bond"],
-            include_cctld=False))
-        assert sum(predicted.values()) > 0
-
-    def test_ablations_gate_the_draws(self):
-        predicted = self._audit(ScenarioConfig(
-            seed=13, scale=1 / 2000, tlds=["com", "xyz"],
-            include_cctld=False, ghost_certs=False, held_domains=False))
-        assert all(count == 0 for count in predicted.values())
-
-    @pytest.mark.parametrize("scenario", scenario_names())
-    def test_counts_stay_exact_under_every_scenario(self, scenario):
-        # Scenario plugins may rewrite targets (drop-catch boosts the
-        # transient volume → more ghost/held draws) and add their own
-        # ghosts — the counting pass must keep predicting the shared
-        # capick stream's consumption exactly, or every worker's
-        # fast-forward offset drifts.  Scenario-planned ghosts stay off
-        # the stream entirely (pinned ca_index), which this audit
-        # proves shard by shard.
-        predicted = self._audit(ScenarioConfig(
-            seed=13, scale=1 / 2000, tlds=["com", "xyz", "top", "bond"],
-            include_cctld=False, scenario=scenario))
-        assert sum(predicted.values()) > 0
-
-
-class TestShardScheduling:
-    """LPT submission order and the shard plan behind it."""
-
-    def test_lpt_orders_by_descending_estimate(self):
-        from repro.workload.scenario import lpt_order
-        estimates = {("com", "2023-11"): 9000, ("com", "2023-12"): 7000,
-                     ("xyz", "2023-11"): 120, ("top", "2024-01"): 7000,
-                     ("bond", "2023-12"): 3}
-        order = lpt_order(estimates)
-        assert order[0] == ("com", "2023-11")
-        assert order[-1] == ("bond", "2023-12")
-        sizes = [estimates[key] for key in order]
-        assert sizes == sorted(sizes, reverse=True)
-        # Ties broken by key so the submission order is deterministic.
-        assert order[1:3] == [("com", "2023-12"), ("top", "2024-01")]
-
-    def test_skewed_estimates_put_the_straggler_first(self):
-        # The whole point of LPT: a dominant shard (the old .com
-        # straggler, now one month of it) must be submitted first so
-        # it overlaps everything else instead of trailing the build.
-        from repro.workload.scenario import (lpt_order, shard_estimates,
-                                             shard_keys)
-        config = ScenarioConfig(seed=5, scale=1 / 1000, include_cctld=False)
-        targets = cal.build_targets(config.scale)
-        estimates = shard_estimates(config, targets)
-        assert set(estimates) == set(shard_keys(targets))
-        order = lpt_order(estimates)
-        # All three of the old straggler's monthly shards go first, so
-        # they overlap the rest of the build instead of trailing it.
-        assert {key[0] for key in order[:3]} == {"com"}
-
-    def test_estimates_cover_every_population(self):
-        from repro.workload.scenario import shard_estimates
-        config = ScenarioConfig(seed=5, scale=1 / 2000,
-                                tlds=["com", "xyz"], include_cctld=False)
-        targets = cal.build_targets(config.scale)
-        targets = {t: targets[t] for t in config.tlds}
-        estimates = shard_estimates(config, targets)
-        com = targets["com"]
-        first = cal.MONTH_KEYS[0]
-        base = int(round(com.total_nrd * config.baseline_fraction))
-        want = (com.monthly_nrd[first] + com.fast_takedown_count(first)
-                + com.ghost_count(first) + com.held_count(first) + base)
-        assert estimates[("com", first)] == want
-
-
-class TestLifecycleRowRoundTrip:
-    """lifecycle_rows -> register_many must be a lossless round trip."""
-
-    def test_rows_rebuild_identical_registries(self):
-        from repro.registry.policy import policy_for
-        from repro.registry.registry import Registry, lifecycle_rows
-
-        world = small_world(seed=19, tlds=("com", "top"), scale=1 / 4000)
-        for source in world.registries:
-            rebuilt = Registry(policy_for(source.tld))
-            rebuilt.register_many(lifecycle_rows(source),
-                                  source.dirty_tick_indices())
-            assert len(rebuilt) == len(source)
-            assert (rebuilt.dirty_tick_indices()
-                    == source.dirty_tick_indices())
-            pairs = zip(source.lifecycles(), rebuilt.lifecycles())
-            for lc, copy in pairs:
-                assert copy.domain is lc.domain  # interned identity
-                for field in ("registrar", "created_at", "zone_added_at",
-                              "removed_at", "zone_removed_at",
-                              "dns_provider", "web_provider",
-                              "is_malicious", "abuse_kind",
-                              "removal_reason", "actor", "campaign",
-                              "held", "lame", "rdap_sync_lag"):
-                    assert getattr(copy, field) == getattr(lc, field), field
-                assert (list(copy.ns_timeline.changes())
-                        == list(lc.ns_timeline.changes()))
-                assert (list(copy.a_timeline.changes())
-                        == list(lc.a_timeline.changes()))
-                assert (list(copy.aaaa_timeline.changes())
-                        == list(lc.aaaa_timeline.changes()))
-
-    def test_register_many_rejects_duplicates(self):
-        from repro.errors import RegistrationError
-        from repro.registry.policy import policy_for
-        from repro.registry.registry import Registry, lifecycle_rows
-
-        source = Registry(policy_for("com"))
-        source.register("dup-row.com", 1000, "R1", ns_hosts=("ns1.x.com",))
-        rows = lifecycle_rows(source)
-        target = Registry(policy_for("com"))
-        target.register_many(rows)
-        with pytest.raises(RegistrationError):
-            target.register_many(rows)
