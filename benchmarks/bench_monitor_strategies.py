@@ -1,14 +1,16 @@
 """Ablation C — monitor execution strategies (DESIGN §5.3).
 
 The analytic (timeline-sampling) monitor must produce identical
-observations to the literal 10-minute probe loop while being orders of
-magnitude cheaper — that equivalence is property-tested in the unit
-suite; here we measure the speedup on real scenario candidates.
+observations to the literal 10-minute probe loop (the test oracle in
+``tests/oracles/loop_monitor.py``) while being orders of magnitude
+cheaper — that equivalence is property-tested in the unit suite; here
+we measure the speedup on real scenario candidates.
 """
 
 import pytest
 
-from repro.core.monitor import AnalyticMonitor, LoopMonitor, MonitorConfig
+from oracles.loop_monitor import LoopMonitor
+from repro.core.monitor import AnalyticMonitor, MonitorConfig
 
 #: Full paper parameters: 48 h of 10-minute A/AAAA/NS probes.
 CONFIG = MonitorConfig()
@@ -36,7 +38,7 @@ def test_monitor_probe_loop(benchmark, world, sample_domains):
     reports = benchmark.pedantic(_run_all, args=(monitor, sample_domains),
                                  rounds=1, iterations=1)
     assert len(reports) == SAMPLE
-    # Cross-check a slice against the analytic strategy.
+    # Cross-check a slice against the analytic monitor.
     analytic = AnalyticMonitor(world.registries, CONFIG)
     for (domain, start), loop_report in list(zip(sample_domains, reports))[:25]:
         fast = analytic.observe(domain, start)

@@ -5,17 +5,17 @@ Builds a synthetic registry population straight on :class:`Registry`
 mostly short-lived transients, a stable tail, a few lame delegations,
 and ghost candidates that never reach a zone — then bulk-measures all
 of it through :class:`~repro.scan.ScanEngine` in scale mode
-(per-authority QPS cap + NXDOMAIN-streak cutoff) and times
-:class:`~repro.core.monitor.LoopMonitor` on a sample of the same
-domains for the baseline ratio.  Reports **domains/sec**,
+(per-authority QPS cap + NXDOMAIN-streak cutoff) and times the
+literal probe loop (``tests/oracles/loop_monitor.py``) on a sample of
+the same domains for the baseline ratio.  Reports **domains/sec**,
 **probes/sec**, the probe-lag snapshot, and the measured speedup as
 JSON — the scan-path baseline future perf PRs must not regress.
 
 Run standalone for the JSON report (also written to
 ``benchmarks/BENCH_scan.json``)::
 
-    PYTHONPATH=src python benchmarks/bench_scan.py                # 100k domains
-    PYTHONPATH=src python benchmarks/bench_scan.py --domains 2000 --loop-sample 50
+    PYTHONPATH=src:tests python benchmarks/bench_scan.py          # 100k domains
+    PYTHONPATH=src:tests python benchmarks/bench_scan.py --domains 2000 --loop-sample 50
 
 or under pytest-benchmark with the rest of the suite (reduced sizes).
 """
@@ -27,7 +27,8 @@ import json
 import time
 from typing import Dict, Tuple
 
-from repro.core.monitor import LoopMonitor, MonitorConfig
+from oracles.loop_monitor import LoopMonitor
+from repro.core.monitor import MonitorConfig
 from repro.registry.policy import gtld
 from repro.registry.registry import Registry, RegistryGroup
 from repro.scan import ScanConfig, ScanEngine

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 from typing import Iterable, List
 
@@ -138,6 +139,12 @@ def check_against_baseline(name: str, report: dict,
 
 
 if pytest is not None:
+
+    # The monitor benches time the reference probe loop from the test
+    # oracles (``tests/oracles``).
+    _TESTS_DIR = str(BASELINE_DIR.parent / "tests")
+    if _TESTS_DIR not in sys.path:
+        sys.path.append(_TESTS_DIR)
 
     from repro.core.pipeline import run_pipeline
     from repro.workload.scenario import ScenarioConfig, build_world

@@ -3,11 +3,12 @@
 
 The paper's step 3 owes every newly observed domain a 10-minute ×
 48-hour probe grid — at feed scale, millions of probes.  This example
-runs that step the way the ``scan`` monitor strategy does: CT
-candidates go into one shared probe queue, a 16-worker fleet drains it
-under a per-authority QPS cap, and every probe outcome lands in a
-columnar store that answers the two questions longitudinal analysis
-asks (one domain's history; one time slice).
+runs that step with real probes through the scan engine behind
+``repro scan`` (the pipeline itself computes the same reports
+analytically): CT candidates go into one shared probe queue, a
+16-worker fleet drains it under a per-authority QPS cap, and every
+probe outcome lands in a columnar store that answers the two questions
+longitudinal analysis asks (one domain's history; one time slice).
 
 Run:  python examples/bulk_scan.py
 """

@@ -3,7 +3,7 @@
 
 The paper's open feed is only useful if many consumers can tail it.
 This example attaches a :class:`repro.serve.FeedServer` to the
-pipeline's broker (the ``serve=`` hook pumps it during the run), then
+pipeline's broker, pumps the published feed into it after the run, then
 plays three archetypal consumers against it:
 
 * a brand-protection team watching ``*shop*`` names across all TLDs,
@@ -31,8 +31,8 @@ def main() -> None:
     server.subscribe("nl-research", "tld=nl", tier="standard")
     server.subscribe("hobbyist", None, tier="free")
 
-    pipeline = DarkDNSPipeline(world, serve=server)
-    pipeline.run()
+    DarkDNSPipeline(world).run()
+    server.pump()
     print(f"pipeline published {server.metrics.published.value:,} feed "
           f"records to {server.client_count} subscribers")
 

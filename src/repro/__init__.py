@@ -21,7 +21,6 @@ Quickstart::
 from repro._version import __version__
 from repro.core import (
     DarkDNSPipeline,
-    PipelineConfig,
     PipelineResult,
     PublicFeed,
     run_pipeline,
@@ -32,7 +31,7 @@ from repro.workload import ScenarioConfig, World, build_world, small_world
 
 __all__ = [
     "__version__",
-    "DarkDNSPipeline", "PipelineConfig", "PipelineResult", "PublicFeed",
+    "DarkDNSPipeline", "PipelineResult", "PublicFeed",
     "run_pipeline",
     "ScanConfig", "ScanEngine",
     "FeedServer", "FeedServerConfig", "FilterSpec",

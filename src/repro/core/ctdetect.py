@@ -16,10 +16,10 @@ limitations — which the simulation reproduces rather than papers over:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from repro.bus.broker import Broker, TOPIC_CANDIDATES
-from repro.ct.certstream import CertstreamEvent, CertstreamFeed
+from repro.ct.certstream import CertstreamFeed
 from repro.czds.archive import SnapshotArchive
 from repro.dnscore.interned import Name
 from repro.dnscore.psl import PublicSuffixList, default_psl
@@ -51,64 +51,16 @@ class CTDetector:
         self.stats = DetectorStats()
         self._seen: Set[str] = set()
 
-    def process_event(self, event: CertstreamEvent) -> List[Candidate]:
-        """Extract zero or more *new* candidates from one feed message."""
-        stats = self.stats
-        stats.events += 1
-        out: List[Candidate] = []
-        registrables: List[Name] = []
-        psl = self.psl
-        registrable_or_none = psl.registrable_or_none
-        for raw in event.all_names_raw:
-            stats.names_seen += 1
-            if type(raw) is Name:
-                # SANs are interned at generation: the PSL match ran at
-                # most once ever for this name, everything else here is
-                # a slot read.
-                registrable = raw.registrable(psl)
-            else:
-                registrable = registrable_or_none(raw)
-            if registrable is None:
-                stats.psl_failures += 1
-                continue
-            registrables.append(registrable)
-        for domain in dict.fromkeys(registrables):
-            tld = domain.tld
-            if tld not in self.known_tlds:
-                stats.unknown_tld += 1
-                continue
-            if domain in self._seen:
-                stats.duplicates += 1
-                continue
-            if self.archive.covers(tld) and self.archive.in_latest_published(
-                    domain, event.seen_at):
-                stats.filtered_in_zone += 1
-                self._seen.add(domain)  # known-registered; skip future certs
-                continue
-            candidate = Candidate(
-                domain=domain, tld=tld, ct_seen_at=event.seen_at,
-                cert_serial=event.certificate.serial,
-                issuer=event.certificate.issuer,
-                log_id=event.log_id,
-                reused_validation=event.certificate.reused_validation)
-            self._seen.add(domain)
-            stats.candidates += 1
-            out.append(candidate)
-            if self.broker is not None:
-                self.broker.produce(TOPIC_CANDIDATES, domain, candidate,
-                                    event.seen_at)
-        return out
-
     def run(self, feed: CertstreamFeed, start_ts: Optional[int] = None,
             end_ts: Optional[int] = None) -> Dict[str, Candidate]:
         """Drain the feed over a window; returns domain → candidate.
 
-        The bulk path: same observable behaviour as looping
-        :meth:`process_event` (a test pins the equivalence), but with
-        the per-event work inlined — counters in locals flushed once,
-        interned-identity dedup instead of a hash round, and the
-        typical all-SANs-share-one-registrable certificate resolved
-        without building a dict.
+        Same observable behaviour as looping the per-event reference in
+        ``tests/oracles/ct_detect.py`` (a test pins the equivalence),
+        but with the per-event work inlined — counters in locals
+        flushed once, interned-identity dedup instead of a hash round,
+        and the typical all-SANs-share-one-registrable certificate
+        resolved without building a dict.
         """
         candidates: Dict[str, Candidate] = {}
         stats = self.stats

@@ -5,37 +5,29 @@ every 10 minutes for its first 48 hours, from 16 workers behind caching
 resolvers capped at 60 s, with NS liveness asked *directly* of the TLD
 authority (§3 step 3).
 
-Three interchangeable execution strategies implement that specification:
+:class:`AnalyticMonitor` is the pipeline's monitor.  It computes what
+that probe loop *would have observed* by intersecting the authoritative
+record timelines with the probe grid — O(timeline segments) per domain
+instead of O(288 probes × 3 qtypes), which is what makes 100 k-domain
+scenarios tractable.
 
-* :class:`LoopMonitor` replays the literal probe loop through
-  :class:`~repro.dnscore.resolver.ResolverPool` — faithful, and used by
-  tests and small scenarios;
-* :class:`AnalyticMonitor` computes what that loop *would have
-  observed* by intersecting the authoritative record timelines with the
-  probe grid — O(timeline segments) per domain instead of O(288 probes
-  × 3 qtypes), which is what makes 100 k-domain scenarios tractable;
-* :class:`~repro.scan.engine.ScanEngine` (``strategy="scan"``) stays
-  measurement-driven like the loop but merges every domain's grid into
-  one scheduled, rate-limited, dedup'd bulk scan — the default at
-  scale when real probes (not analytic sampling) are wanted.
-
-Property-based tests assert all strategies produce identical
-:class:`~repro.core.records.MonitorReport` objects; the ablation and
-scan benches measure the speedups.
+The literal probe loop over real resolvers lives in
+``tests/oracles/loop_monitor.py`` as the reference implementation:
+property tests assert it and :class:`AnalyticMonitor` produce identical
+:class:`~repro.core.records.MonitorReport` objects.  The bulk probe
+engine (:class:`~repro.scan.engine.ScanEngine`, ``repro scan``) is
+pinned to the same oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.core.records import MonitorReport
-from repro.dnscore.message import Query, RCode
-from repro.errors import ConfigError
-from repro.dnscore.records import RRType
 from repro.registry.lifecycle import DomainLifecycle
 from repro.registry.registry import RegistryGroup
-from repro.simtime.clock import DAY, HOUR, MINUTE
+from repro.simtime.clock import HOUR, MINUTE
 
 
 @dataclass(frozen=True)
@@ -46,10 +38,6 @@ class MonitorConfig:
     duration: int = 48 * HOUR
     workers: int = 16
     resolver_cache_ttl: int = 60
-
-
-def _grid(start: int, end: int, step: int) -> range:
-    return range(start, end, step)
 
 
 class AnalyticMonitor:
@@ -63,7 +51,7 @@ class AnalyticMonitor:
     def observe(self, domain: str, start: int) -> MonitorReport:
         cfg = self.config
         end = start + cfg.duration
-        probes = len(_grid(start, end, cfg.probe_interval)) * 3  # A/AAAA/NS
+        probes = len(range(start, end, cfg.probe_interval)) * 3  # A/AAAA/NS
         lifecycle = self.registries.find_lifecycle(domain)
         if lifecycle is None:
             # Ghost candidate: every probe answers NXDOMAIN.
@@ -134,78 +122,3 @@ class AnalyticMonitor:
             ns_sets=tuple(ns_sets),
             first_a=first_a, first_aaaa=first_aaaa,
             ns_changed=len(ns_sets) > 1)
-
-
-class LoopMonitor:
-    """Literal probe-loop implementation over real resolvers."""
-
-    def __init__(self, registries: RegistryGroup,
-                 config: MonitorConfig = MonitorConfig()) -> None:
-        self.registries = registries
-        self.config = config
-        # The wiring (TLD authorities + hosting oracles) is shared with
-        # the scan engine via RegistryGroup.resolver_pool.
-        self.pool = registries.resolver_pool(
-            size=config.workers, max_cache_ttl=config.resolver_cache_ttl)
-
-    # -- the probe loop --------------------------------------------------------------
-
-    def observe(self, domain: str, start: int) -> MonitorReport:
-        cfg = self.config
-        end = start + cfg.duration
-        resolver = self.pool.resolver_for(domain)
-        probes = 0
-        last_ns_ok: Optional[int] = None
-        ns_sets: List[FrozenSet[str]] = []
-        first_a: Tuple[str, ...] = ()
-        first_aaaa: Tuple[str, ...] = ()
-        for ts in _grid(start, end, cfg.probe_interval):
-            # NS liveness straight at the TLD authority (no cache, no
-            # recursion): lame delegation must not look like deletion.
-            ns_response = resolver.query_authority_direct(
-                Query(domain, RRType.NS), ts)
-            probes += 1
-            if ns_response.rcode is RCode.NOERROR and ns_response.records:
-                last_ns_ok = ts
-                observed = frozenset(r.rdata for r in ns_response.records)
-                if not ns_sets or ns_sets[-1] != observed:
-                    ns_sets.append(observed)
-            a_response = resolver.resolve_at(Query(domain, RRType.A), ts)
-            probes += 1
-            if not first_a and a_response.is_positive:
-                first_a = tuple(sorted(a_response.rdatas()))
-            aaaa_response = resolver.resolve_at(Query(domain, RRType.AAAA), ts)
-            probes += 1
-            if not first_aaaa and aaaa_response.is_positive:
-                first_aaaa = tuple(sorted(aaaa_response.rdatas()))
-        return MonitorReport(
-            domain=domain, monitor_start=start, monitor_end=end,
-            probe_interval=cfg.probe_interval, probes=probes,
-            ever_resolved=last_ns_ok is not None,
-            last_ns_ok=last_ns_ok, ns_sets=tuple(ns_sets),
-            first_a=first_a, first_aaaa=first_aaaa,
-            ns_changed=len(ns_sets) > 1)
-
-
-def make_monitor(registries: RegistryGroup,
-                 config: MonitorConfig = MonitorConfig(),
-                 strategy: str = "analytic",
-                 scan=None):
-    """Factory for the configured execution strategy.
-
-    ``strategy="scan"`` builds a :class:`~repro.scan.engine.ScanEngine`
-    (the bulk measurement path); ``scan`` optionally supplies a full
-    :class:`~repro.scan.engine.ScanConfig` — otherwise one is derived
-    from the paper parameters in ``config``.
-    """
-    if strategy == "analytic":
-        return AnalyticMonitor(registries, config)
-    if strategy == "loop":
-        return LoopMonitor(registries, config)
-    if strategy == "scan":
-        # Imported lazily: repro.scan depends on repro.core.records.
-        from repro.scan.engine import ScanConfig, ScanEngine
-        scan_config = scan if scan is not None else ScanConfig.from_monitor(config)
-        return ScanEngine(registries, scan_config)
-    raise ConfigError(f"unknown monitor strategy: {strategy!r} "
-                      "(expected analytic, loop, or scan)")

@@ -21,10 +21,6 @@ class SimulationError(ReproError):
     """The simulation engine was driven incorrectly (e.g. time went backwards)."""
 
 
-class ClockError(SimulationError):
-    """An operation would move a simulation clock backwards."""
-
-
 # --------------------------------------------------------------------------
 # DNS data model
 # --------------------------------------------------------------------------

@@ -136,7 +136,7 @@ class AddressPool:
 
     ``address_for(key)`` hashes the key into the pool, so the same
     domain always maps to the same address — stable across runs and
-    across the analytic/event-driven monitor implementations.
+    across the analytic monitor, the scan engine and the probe loop.
     """
 
     def __init__(self, prefixes: List[Prefix]) -> None:

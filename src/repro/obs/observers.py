@@ -19,11 +19,9 @@ series are significant at the same instant (the registration-burst /
 dark-host-spike trigger).  The suite satisfies the registry provider
 protocol, so anomaly counters appear in ``repro metrics`` output.
 
-Wired into the pipeline as the optional ``observers=`` hook of
-:class:`~repro.core.pipeline.DarkDNSPipeline`: after step 5 the suite
-ingests the run's daily series (:func:`observe_pipeline_result`).  The
-module is dependency-free and duck-types the pipeline result, so the
-layer map stays acyclic.
+After a pipeline run, :func:`observe_pipeline_result` feeds the run's
+daily series through a suite.  The module is dependency-free and
+duck-types the pipeline result, so the layer map stays acyclic.
 
 Everything is deterministic: thresholds are config, baselines are
 arithmetic, and no RNG stream is touched.
@@ -373,7 +371,7 @@ def observe_scan_reports(suite: ObserverSuite, reports: Mapping) -> List[Anomaly
 
 
 def default_pipeline_suite(**overrides) -> ObserverSuite:
-    """The suite the ``observers=`` pipeline hook expects.
+    """The suite :func:`observe_pipeline_result` is tuned for.
 
     Tuned so the *default* calibrated world stays quiet while a
     registration burst — one day at several times the baseline —

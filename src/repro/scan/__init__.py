@@ -1,9 +1,9 @@
 """repro.scan — high-throughput bulk DNS measurement.
 
-The subsystem behind ``monitor_strategy="scan"`` and ``repro scan``:
-a probe scheduler over lazy per-domain grids, a rate-limited worker
-fleet with retry/backoff and negative-answer dedup, a columnar result
-sink, and the :class:`ScanEngine` facade tying them together.
+The subsystem behind ``repro scan``: a probe scheduler over lazy
+per-domain grids, a rate-limited worker fleet with retry/backoff and
+negative-answer dedup, a columnar result sink, and the
+:class:`ScanEngine` facade tying them together.
 """
 
 from repro.scan.engine import ScanConfig, ScanEngine

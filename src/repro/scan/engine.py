@@ -1,11 +1,12 @@
 """`ScanEngine` — the bulk active-measurement facade.
 
-The third monitor strategy (after the literal probe loop and the
-analytic shortcut): a ZDNS-shaped engine that merges every monitored
-domain's 10-min × 48-h probe grid into one time-ordered queue and
-drives a worker fleet over it, with per-authority rate control,
-retry/backoff, fleet-wide negative-answer dedup, and early termination
-once a domain's fate is resolved.
+The engine behind ``repro scan``: a ZDNS-shaped prober that merges
+every monitored domain's 10-min × 48-h probe grid into one time-ordered
+queue and drives a worker fleet over it, with per-authority rate
+control, retry/backoff, fleet-wide negative-answer dedup, and early
+termination once a domain's fate is resolved.  (The pipeline's step 3
+uses the analytic monitor, :class:`~repro.core.monitor.AnalyticMonitor`,
+which computes the same reports without sending probes.)
 
 Where the speed comes from — all without changing what is observed:
 
@@ -34,8 +35,9 @@ Paper anchor: §3 (the measurement methodology) — 10-minute probes over
 ``docs/scan.md`` walks the architecture.
 
 A property-based test asserts ``ScanEngine`` produces
-:class:`~repro.core.records.MonitorReport` objects *identical* to
-:class:`~repro.core.monitor.LoopMonitor` under default configuration
+:class:`~repro.core.records.MonitorReport` objects *identical* to the
+literal probe loop kept as the test oracle in
+``tests/oracles/loop_monitor.py`` under default configuration
 (no jitter, no throttle, no NXDOMAIN-streak cutoff); the scan
 benchmark measures the throughput multiple at 100 k domains.
 """
@@ -159,17 +161,6 @@ class ScanConfig:
             if value is not None and value <= 0:
                 raise ScanError(f"{name} must be positive, got {value}")
 
-    @classmethod
-    def from_monitor(cls, monitor_config, **overrides) -> "ScanConfig":
-        """Adopt the paper parameters from a ``MonitorConfig``-shaped
-        object (duck-typed to avoid a core → scan import cycle)."""
-        params = dict(probe_interval=monitor_config.probe_interval,
-                      duration=monitor_config.duration,
-                      workers=monitor_config.workers,
-                      resolver_cache_ttl=monitor_config.resolver_cache_ttl)
-        params.update(overrides)
-        return cls(**params)
-
 
 class _ReportBuilder:
     """Accumulates one domain's observations into a MonitorReport."""
@@ -188,7 +179,7 @@ class _ReportBuilder:
         self.end = start + duration
         self.interval = interval
         # The report's probe count is the nominal grid budget — what the
-        # loop strategy counts — so reports stay identical even when
+        # literal probe loop counts — so reports stay identical even when
         # dedup/termination let the engine send far fewer.
         self.nominal_probes = grid_len * 3
         self.last_ns_ok: Optional[int] = None
@@ -230,7 +221,7 @@ class _ReportBuilder:
 class ScanEngine:
     """One configured bulk-measurement run over a registry group.
 
-    Usable per-domain (``observe``, the monitor-strategy contract) or
+    Usable per-domain (``observe``, the monitor contract) or
     in bulk (``add_domain`` + ``run`` / ``observe_all``, where the
     shared queue, caches, and rate limiter earn their keep).  With a
     ``broker``, finished reports publish to the observations topic;
@@ -295,10 +286,10 @@ class ScanEngine:
         self._builders[domain] = builder
         self.metrics.domains_scheduled.inc()
 
-    # -- monitor-strategy contract ----------------------------------------------
+    # -- monitor contract ----------------------------------------------------------
 
     def observe(self, domain: str, start: int) -> MonitorReport:
-        """Scan one domain to completion (the ``make_monitor`` contract).
+        """Scan one domain to completion (the ``AnalyticMonitor.observe`` contract).
 
         Args:
             domain: the domain to monitor (any spelling).

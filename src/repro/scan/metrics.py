@@ -4,8 +4,8 @@ ZDNS-style engines live or die by their counters — probes sent versus
 scheduled, retry pressure, rate-limit stalls, and how far behind the
 nominal probe grid execution is running.  :class:`ScanMetrics` uses the
 shared :class:`~repro.obs.metrics.Counter` and
-:class:`~repro.obs.metrics.Histogram` primitives (still importable
-from here for compatibility) and is a registry provider: the
+:class:`~repro.obs.metrics.Histogram` primitives and is a registry
+provider: the
 :class:`~repro.scan.engine.ScanEngine` registers its instance as the
 ``"scan"`` group, so ``repro metrics`` and ``--metrics-out`` carry the
 scan counters alongside every other subsystem.
@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.obs.metrics import Counter, Histogram
 
-__all__ = ["Counter", "Gauge", "Histogram", "ScanMetrics", "LAG_BOUNDS"]
+__all__ = ["ScanMetrics", "LAG_BOUNDS"]
 
 #: Lag buckets tuned for grid slippage: sub-second through hours.
 LAG_BOUNDS = (0, 1, 5, 15, 60, 300, 900, 3600, 6 * 3600)

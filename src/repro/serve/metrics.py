@@ -5,10 +5,8 @@ feed would watch: how many records were published, delivered, dropped
 on full queues, or rejected by rate limits, and the distribution of
 delivery lag (record observation time → delivery time).
 
-Since the ``repro.obs`` telemetry layer landed, the primitives live in
-:mod:`repro.obs.metrics` — this module re-exports :class:`Counter` and
-:class:`Histogram` under their historical import path and keeps
-:class:`ServeMetrics` as the serve group's registry provider (the
+:class:`ServeMetrics` builds on the shared :mod:`repro.obs.metrics`
+primitives and is the serve group's registry provider (the
 :class:`~repro.serve.server.FeedServer` registers its instance as the
 ``"serve"`` group; see ``docs/observability.md``).
 """
@@ -17,9 +15,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.obs.metrics import Counter, Histogram
 
-__all__ = ["Counter", "Gauge", "Histogram", "ServeMetrics"]
+__all__ = ["ServeMetrics"]
 
 
 class ServeMetrics:

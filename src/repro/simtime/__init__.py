@@ -1,4 +1,4 @@
-"""Simulation time substrate: clocks, RNG streams, timelines, events."""
+"""Simulation time substrate: windows, RNG streams, timelines."""
 
 from repro.simtime.clock import (
     DAY,
@@ -8,7 +8,6 @@ from repro.simtime.clock import (
     BLOCKLIST_WINDOW,
     SECOND,
     WEEK,
-    SimClock,
     Window,
     day_floor,
     days,
@@ -21,7 +20,6 @@ from repro.simtime.clock import (
     to_datetime,
     utc,
 )
-from repro.simtime.events import EventHandle, EventLoop, PeriodicTask
 from repro.simtime.rng import (
     RngStream,
     StreamBank,
@@ -36,10 +34,9 @@ from repro.simtime.timeline import BooleanTimeline, Timeline, merge_change_times
 __all__ = [
     "SECOND", "MINUTE", "HOUR", "DAY", "WEEK",
     "PAPER_WINDOW", "BLOCKLIST_WINDOW",
-    "SimClock", "Window",
+    "Window",
     "day_floor", "days", "hours", "isoformat", "minutes", "month_key",
     "parse_duration", "seconds", "to_datetime", "utc",
-    "EventHandle", "EventLoop", "PeriodicTask",
     "RngStream", "StreamBank",
     "WeightedSampler", "derive_seed", "spawn",
     "stable_bucket", "stable_hash01",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.core.pipeline import run_pipeline
 from repro.workload.scenario import ScenarioConfig, build_world
 
 

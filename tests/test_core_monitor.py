@@ -1,17 +1,16 @@
 """Tests for the reactive monitor — including the property that the
-analytic (timeline-sampling) and loop (literal probes) strategies
+analytic (timeline-sampling) monitor and the literal probe-loop oracle
 observe identical reports, which is the load-bearing equivalence of the
 whole reproduction's performance story."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.monitor import AnalyticMonitor, LoopMonitor, MonitorConfig, make_monitor
-from repro.errors import ConfigError
+from oracles.loop_monitor import LoopMonitor
+from repro.core.monitor import AnalyticMonitor, MonitorConfig
 from repro.registry.policy import gtld
 from repro.registry.registry import Registry, RegistryGroup
-from repro.simtime.clock import DAY, HOUR, MINUTE
+from repro.simtime.clock import HOUR, MINUTE
 
 
 def build_registry(interval=MINUTE):
@@ -106,16 +105,6 @@ class TestLoopMonitor:
         assert config.duration == 48 * HOUR
         assert config.workers == 16
         assert config.resolver_cache_ttl == 60
-
-    def test_factory(self):
-        group = RegistryGroup([build_registry()])
-        assert isinstance(make_monitor(group, strategy="analytic"),
-                          AnalyticMonitor)
-        assert isinstance(make_monitor(group, strategy="loop"), LoopMonitor)
-        from repro.scan import ScanEngine
-        assert isinstance(make_monitor(group, strategy="scan"), ScanEngine)
-        with pytest.raises(ConfigError):
-            make_monitor(group, strategy="quantum")
 
 
 @st.composite

@@ -4,14 +4,14 @@ import pytest
 
 from repro.core.ctdetect import CTDetector
 from repro.core.feed import FeedRecord, PublicFeed
-from repro.core.pipeline import DarkDNSPipeline, PipelineConfig, run_pipeline
+from repro.core.pipeline import DarkDNSPipeline
 from repro.core.rdap_collect import RDAPCollector, RDAPCollectorConfig
 from repro.core.records import Candidate
 from repro.core.transient import TransientClassifier
 from repro.core.validate import Validator, ValidatorConfig
 from repro.dnscore.psl import BuggyPublicSuffixList
 from repro.registry.rdap import RDAPFailure, RDAPResult
-from repro.simtime.clock import DAY, HOUR, MINUTE
+from repro.simtime.clock import DAY
 
 
 def make_candidate(domain="x.com", seen=10_000):
@@ -37,12 +37,14 @@ class TestCTDetector:
 
     def test_deduplicates_by_domain(self, tiny_world):
         detector = CTDetector(tiny_world.archive, tiny_world.registries.tlds())
-        events = list(tiny_world.certstream.events())
-        detector.process_event(events[0])
-        before = detector.stats.candidates
-        detector.process_event(events[0])
-        assert detector.stats.candidates == before
-        assert detector.stats.duplicates >= 1
+        window = tiny_world.window
+        first = detector.run(tiny_world.certstream, window.start, window.end)
+        before = detector.stats.duplicates
+        second = detector.run(tiny_world.certstream, window.start, window.end)
+        assert first
+        assert second == {}
+        assert detector.stats.candidates == len(first)
+        assert detector.stats.duplicates - before >= len(first)
 
     def test_unknown_tld_skipped(self, tiny_world):
         detector = CTDetector(tiny_world.archive, known_tlds=["net"])
@@ -72,6 +74,11 @@ class TestRDAPCollector:
 
     def test_collect_orders_by_detection(self, tiny_world, tiny_result):
         assert set(tiny_result.rdap) == set(tiny_result.candidates)
+
+    def test_rdap_fires_after_detection(self, tiny_result):
+        for domain, result in tiny_result.rdap.items():
+            candidate = tiny_result.candidates[domain]
+            assert result.queried_at >= candidate.ct_seen_at
 
 
 class TestValidator:
@@ -212,17 +219,3 @@ class TestEndToEnd:
         delays = list(small_result.detection_delays().values())
         positive = sum(1 for d in delays if d > 0)
         assert positive / len(delays) > 0.95
-
-    def test_monitor_can_be_disabled(self, tiny_world):
-        result = run_pipeline(tiny_world,
-                              PipelineConfig(run_monitor=False))
-        assert result.monitors == {}
-
-    def test_loop_strategy_small(self, tiny_world):
-        from repro.core.monitor import MonitorConfig
-        config = PipelineConfig(
-            monitor_strategy="loop",
-            monitor=MonitorConfig(probe_interval=30 * MINUTE,
-                                  duration=2 * HOUR))
-        result = run_pipeline(tiny_world, config)
-        assert result.monitors

@@ -8,7 +8,6 @@ working on the happy path.
 import pytest
 
 from repro.core.ctdetect import CTDetector
-from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.rdap_collect import RDAPCollector
 from repro.ct.certstream import CertstreamFeed
 from repro.dnscore.psl import BuggyPublicSuffixList, PublicSuffixList
@@ -76,14 +75,6 @@ class TestPSLDegradation:
         good, buggy = PublicSuffixList(), BuggyPublicSuffixList()
         assert good.registrable_domain("shop.example.co.uk") == "example.co.uk"
         assert buggy.registrable_domain("shop.example.co.uk") == "co.uk"
-
-    def test_pipeline_accepts_custom_psl(self, tiny_world):
-        result = run_pipeline(tiny_world,
-                              PipelineConfig(psl=BuggyPublicSuffixList(),
-                                             run_monitor=False))
-        # Single-label gTLD world: candidate count must be unchanged.
-        baseline = run_pipeline(tiny_world, PipelineConfig(run_monitor=False))
-        assert set(result.candidates) == set(baseline.candidates)
 
 
 class TestLatePublication:

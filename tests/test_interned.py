@@ -378,6 +378,7 @@ class TestDetectorEquivalence:
     def test_bulk_run_matches_per_event_processing(self):
         """The detector's inlined bulk loop is observably identical to
         the per-event API (stats included)."""
+        from oracles.ct_detect import process_event
         from repro.core.ctdetect import CTDetector
         from repro.workload.scenario import small_world
         world = small_world(scale=1 / 5000)
@@ -388,7 +389,7 @@ class TestDetectorEquivalence:
         single_out = {}
         for event in world.certstream.events(world.window.start,
                                              world.window.end):
-            for candidate in single.process_event(event):
+            for candidate in process_event(single, event):
                 single_out[candidate.domain] = candidate
         assert bulk_out == single_out
         assert bulk.stats == single.stats

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import DarkDNSPipeline
 from repro.dnscore.resolver import ResolverPool, ResolverPoolMetrics
 from repro.obs import (
     Counter,
@@ -697,15 +696,10 @@ class TestPipelineObservers:
         assert len(suite.mass_events) == 1
         assert suite.mass_events[0].series == ("dark_hosts", "registrations")
 
-    def test_pipeline_hook_annotates_result_stats(self, tiny_world):
+    def test_pipeline_hook_annotates_result_stats(self, tiny_result):
         suite = default_pipeline_suite()
-        result = DarkDNSPipeline(tiny_world, observers=suite).run()
-        assert result.stats["anomalies"] == 0
-        assert result.stats["mass_events"] == 0
-
-    def test_without_observers_stats_untouched(self, small_result):
-        assert "anomalies" not in small_result.stats
-        assert "mass_events" not in small_result.stats
+        assert observe_pipeline_result(suite, tiny_result) == []
+        assert suite.mass_events == []
 
 
 # --------------------------------------------------------------------------
@@ -895,14 +889,6 @@ class TestResolverStatsReset:
 # --------------------------------------------------------------------------
 
 class TestAdaptersAndDeterminism:
-
-    def test_old_import_paths_reexport_the_primitives(self):
-        from repro.scan import metrics as scan_metrics
-        from repro.serve import metrics as serve_metrics
-        assert serve_metrics.Counter is Counter
-        assert serve_metrics.Histogram is Histogram
-        assert scan_metrics.Counter is Counter
-        assert scan_metrics.Histogram is Histogram
 
     def test_adapters_satisfy_the_provider_protocol(self):
         from repro.scan.metrics import ScanMetrics

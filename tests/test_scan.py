@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from repro.bus.broker import Broker, TOPIC_OBSERVATIONS
 from repro.bus.columnar import ColumnStore
-from repro.core.monitor import LoopMonitor, MonitorConfig
-from repro.core.pipeline import DarkDNSPipeline, PipelineConfig
+from oracles.loop_monitor import LoopMonitor
+from repro.core.monitor import AnalyticMonitor, MonitorConfig
 from repro.dnscore.records import RRType
 from repro.dnscore.resolver import ResolverStats
 from repro.errors import ScanError
@@ -98,7 +98,8 @@ class TestScanLoopEquivalence:
         config = MonitorConfig(probe_interval=10 * MINUTE, duration=12 * HOUR)
         loop = LoopMonitor(tiny_world.registries, config)
         engine = ScanEngine(tiny_world.registries,
-                            ScanConfig.from_monitor(config))
+                            ScanConfig(probe_interval=config.probe_interval,
+                                       duration=config.duration))
         sample = sorted(tiny_result.candidates)[:40]
         starts = {d: tiny_result.candidates[d].ct_seen_at for d in sample}
         reports = engine.observe_all(starts)
@@ -511,28 +512,16 @@ class TestResolverStatsAggregation:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline integration
+# Pipeline candidates
 # ---------------------------------------------------------------------------
 
 class TestPipelineIntegration:
-    def test_scan_strategy_matches_analytic_in_pipeline(self, tiny_world):
-        monitor = MonitorConfig(probe_interval=10 * MINUTE, duration=6 * HOUR)
-        scan_result = DarkDNSPipeline(
-            tiny_world, PipelineConfig(monitor=monitor,
-                                       monitor_strategy="scan")).run()
-        analytic_result = DarkDNSPipeline(
-            tiny_world, PipelineConfig(monitor=monitor,
-                                       monitor_strategy="analytic")).run()
-        assert scan_result.monitors == analytic_result.monitors
-        assert scan_result.stats == analytic_result.stats
-
-    def test_pipeline_exposes_engine_metrics(self, tiny_world):
-        monitor = MonitorConfig(probe_interval=10 * MINUTE, duration=6 * HOUR)
-        pipeline = DarkDNSPipeline(
-            tiny_world, PipelineConfig(monitor=monitor,
-                                       monitor_strategy="scan"))
-        result = pipeline.run()
-        assert isinstance(pipeline.monitor, ScanEngine)
-        snap = pipeline.monitor.snapshot()
-        assert snap["domains_completed"] == len(result.monitors)
-        assert snap["probes_sent"] > 0
+    def test_scan_strategy_matches_analytic_in_pipeline(self, tiny_world,
+                                                        tiny_result):
+        """On every pipeline candidate, the bulk scan observes exactly
+        what the pipeline's analytic monitor computes."""
+        starts = {d: c.ct_seen_at for d, c in tiny_result.candidates.items()}
+        scanned = ScanEngine(tiny_world.registries, SHORT).observe_all(starts)
+        analytic = AnalyticMonitor(tiny_world.registries, SHORT_MONITOR)
+        assert scanned == {d: analytic.observe(d, s)
+                           for d, s in starts.items()}

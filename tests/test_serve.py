@@ -422,7 +422,7 @@ class TestFeedServer:
 
 
 # --------------------------------------------------------------------------
-# Pipeline integration (serve= hook + live replay)
+# Pipeline integration (pump after a run + live replay)
 # --------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -439,8 +439,9 @@ class TestPipelineIntegration:
                                 consumer_group="serve-hook-test",
                                 max_queue_depth=100_000))
         server.subscribe("everything", None, tier="premium")
-        pipeline = DarkDNSPipeline(serve_world, serve=server)
+        pipeline = DarkDNSPipeline(serve_world)
         pipeline.run()
+        server.pump()
         assert server.metrics.published.value == len(pipeline.feed)
         got = server.poll("everything", now=serve_world.window.end,
                           max_records=10 ** 6)

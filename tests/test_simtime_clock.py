@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.errors import ClockError, ConfigError
+from repro.errors import ConfigError
 from repro.simtime.clock import (
     DAY,
     HOUR,
     MINUTE,
     PAPER_WINDOW,
-    SimClock,
     Window,
     day_floor,
     days,
@@ -129,31 +128,3 @@ class TestWindow:
     def test_overlaps(self):
         assert Window(0, 10).overlaps(Window(5, 15))
         assert not Window(0, 10).overlaps(Window(10, 20))
-
-
-class TestSimClock:
-    def test_starts_at_paper_window(self):
-        assert SimClock().now == PAPER_WINDOW.start
-
-    def test_advance(self):
-        clock = SimClock(0)
-        assert clock.advance(10) == 10
-        assert clock.now == 10
-
-    def test_advance_to(self):
-        clock = SimClock(0)
-        clock.advance_to(100)
-        assert clock.now == 100
-
-    def test_advance_to_same_instant_is_noop(self):
-        clock = SimClock(50)
-        assert clock.advance_to(50) == 50
-
-    def test_rejects_negative_advance(self):
-        with pytest.raises(ClockError):
-            SimClock(0).advance(-1)
-
-    def test_rejects_time_travel(self):
-        clock = SimClock(100)
-        with pytest.raises(ClockError):
-            clock.advance_to(99)
