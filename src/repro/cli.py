@@ -318,6 +318,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _format_duration(total: int) -> str:
+    """Seconds as ``48h`` / ``10m`` / ``1h30m`` / ``30s`` — exact, never
+    truncated to a coarser unit."""
+    hours, rest = divmod(total, 3600)
+    minutes, secs = divmod(rest, 60)
+    parts = [f"{value}{unit}" for value, unit
+             in ((hours, "h"), (minutes, "m"), (secs, "s")) if value]
+    return "".join(parts) or "0s"
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     # Validate user input before paying for the world build.
     config = ScanConfig(
@@ -339,8 +349,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     engine = ScanEngine(world.registries, config,
                         broker=world.broker, store=store)
     log.info(f"scanning {len(candidates):,} CT candidates "
-             f"({config.duration // 3600}h window, "
-             f"{config.probe_interval // 60}-min grid, "
+             f"({_format_duration(config.duration)} window, "
+             f"{_format_duration(config.probe_interval)} grid, "
              f"{config.workers} workers)", candidates=len(candidates))
     start = time.time()
     reports = engine.observe_all(

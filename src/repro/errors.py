@@ -142,7 +142,7 @@ class ScanError(ReproError):
 
 
 # --------------------------------------------------------------------------
-# Resilience (fault injection, breakers, crash safety)
+# Resilience (fault injection, crash safety)
 # --------------------------------------------------------------------------
 
 class ResilienceError(ReproError):
@@ -152,10 +152,6 @@ class ResilienceError(ReproError):
     line on stderr and exit code 2 (``repro.cli.main`` catches
     :class:`ReproError`), never a traceback.
     """
-
-
-class CircuitOpenError(ResilienceError):
-    """An operation was refused because its circuit breaker is open."""
 
 
 class SegmentCorruptionError(ResilienceError):

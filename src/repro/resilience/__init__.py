@@ -1,30 +1,20 @@
-"""Failure handling for the repro stack: deterministic fault injection,
-circuit breakers, and crash-safe logs.
+"""Failure handling for the repro stack: deterministic fault injection
+and the counters of every recovery.
 
-The package has three pillars (see ``docs/resilience.md``):
+The package has two parts (see ``docs/resilience.md``):
 
 * :mod:`repro.resilience.faults` — :class:`FaultPlan`, the seeded
   chaos schedule parsed from ``--fault-plan`` (same seed → same
   injection schedule, bit-reproducible);
-* :mod:`repro.resilience.breaker` — :class:`CircuitBreaker` and the
-  retry :func:`backoff <make_backoff>` policies the scan engine keys
-  per TLD authority;
 * :mod:`repro.resilience.metrics` — the process-wide ``resilience``
   registry group counting every injected fault and every recovery.
 
-The consuming subsystems (``scan.engine`` breakers,
-``serve.segments`` salvage, ``serve.server`` shedding) live where the
-behaviour they protect lives; this package only holds the shared
-mechanism.
+The recovery itself lives where the behaviour it protects lives:
+SERVFAIL/timeout retry and dark-host suppression in ``scan.engine``,
+segment salvage in ``serve.segments``, feed-line quarantine in
+``core.feed``.  This package only holds the shared mechanism.
 """
 
-from repro.resilience.breaker import (
-    BreakerConfig,
-    CircuitBreaker,
-    DecorrelatedJitterBackoff,
-    ExponentialBackoff,
-    make_backoff,
-)
 from repro.resilience.faults import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.resilience.metrics import (
     ResilienceMetrics,
@@ -33,15 +23,10 @@ from repro.resilience.metrics import (
 )
 
 __all__ = [
-    "BreakerConfig",
-    "CircuitBreaker",
-    "DecorrelatedJitterBackoff",
-    "ExponentialBackoff",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
     "ResilienceMetrics",
     "get_resilience_metrics",
-    "make_backoff",
     "reset_resilience_metrics",
 ]

@@ -37,6 +37,7 @@ events) so a chaos run's schedule is observable after the fact.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
@@ -95,6 +96,10 @@ class FaultSpec:
             raise ConfigError(f"fires must be positive: {self.fires}")
         if self.delay < 0:
             raise ConfigError(f"delay must be >= 0: {self.delay}")
+        for name in ("rate", "fires", "delay", "start", "end"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"fault {name} must be finite: {value}")
 
     def applies(self, target: Optional[str], attempt: int,
                 at: Optional[int]) -> bool:
@@ -184,7 +189,7 @@ class FaultPlan:
         if os.path.exists(text):
             try:
                 payload = open(text, "r", encoding="utf-8").read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read fault plan {text}: {exc}")
             return cls.from_json(payload, seed=seed)
         return cls.from_spec(text, seed=seed)
@@ -221,7 +226,7 @@ class FaultPlan:
         """Parse the JSON shape (inline text or file contents)."""
         try:
             payload = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"fault plan is not valid JSON: {exc}")
         if isinstance(payload, list):
             payload = {"faults": payload}
@@ -253,7 +258,7 @@ class FaultPlan:
         for name, value in params.items():
             try:
                 coerced[name] = _PARAMS[name](value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(
                     f"bad value for fault parameter {name}: "
                     f"{value!r}") from None

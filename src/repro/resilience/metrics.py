@@ -2,8 +2,8 @@
 
 Unlike ``serve``/``scan`` metrics — which belong to one server or
 engine instance — resilience events are scattered across subsystems
-(scan breakers, segment salvage, feed-line quarantine, serve
-shedding), so this module keeps one process-wide
+(scan fault injection, segment salvage, feed-line quarantine,
+stalled serve consumers), so this module keeps one process-wide
 :class:`ResilienceMetrics` that every call site shares via
 :func:`get_resilience_metrics`.  The instance self-registers under the
 ``resilience`` group of :func:`repro.obs.metrics.get_registry`, so it
@@ -28,17 +28,6 @@ class ResilienceMetrics:
         self.faults_injected = Counter(
             "resilience_faults_injected_total",
             "Faults fired by the active fault plan", labelnames=("kind",))
-        #: Breaker lifecycle, labelled by the transition edge.
-        self.breaker_transitions = Counter(
-            "resilience_breaker_transitions_total",
-            "Circuit breaker state transitions",
-            labelnames=("transition",))
-        self.breaker_skips = Counter(
-            "resilience_breaker_skips_total",
-            "Probes refused because a circuit breaker was open")
-        self.deadline_exhausted = Counter(
-            "resilience_deadline_exhausted_total",
-            "Scan retries dropped because the probe deadline budget ran out")
         #: Segmented-log salvage results.
         self.torn_lines = Counter(
             "resilience_torn_lines_total",
@@ -49,10 +38,6 @@ class ResilienceMetrics:
         self.segments_quarantined = Counter(
             "resilience_segments_quarantined_total",
             "Segment files moved aside as unrecoverable or orphaned")
-        #: Serve-side degradation.
-        self.shed_clients = Counter(
-            "resilience_shed_clients_total",
-            "Subscribers dropped by overload shedding", labelnames=("tier",))
         #: Feed-ingest hygiene.
         self.rejected_lines = Counter(
             "resilience_rejected_lines_total",
@@ -60,10 +45,8 @@ class ResilienceMetrics:
 
     def metrics(self) -> Iterable:
         return [
-            self.faults_injected, self.breaker_transitions,
-            self.breaker_skips, self.deadline_exhausted, self.torn_lines,
-            self.records_salvaged, self.segments_quarantined,
-            self.shed_clients, self.rejected_lines,
+            self.faults_injected, self.torn_lines, self.records_salvaged,
+            self.segments_quarantined, self.rejected_lines,
         ]
 
     def snapshot(self) -> Dict[str, object]:

@@ -55,17 +55,9 @@ from repro.dnscore.message import RCode, Response, nxdomain, servfail, timeout
 from repro.dnscore.records import RRType
 from repro.dnscore.resolver import ResolverPoolMetrics
 from repro.errors import ScanError
-from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 from repro.registry.registry import RegistryGroup
-from repro.resilience.breaker import (
-    BreakerConfig,
-    CircuitBreaker,
-    DecorrelatedJitterBackoff,
-    ExponentialBackoff,
-    make_backoff,
-)
 from repro.resilience.faults import FaultPlan
 from repro.resilience.metrics import get_resilience_metrics
 from repro.scan.metrics import ScanMetrics
@@ -77,6 +69,14 @@ from repro.simtime.clock import HOUR, MINUTE
 
 #: How often (in queue pops) the depth histogram samples the queue.
 _DEPTH_SAMPLE_EVERY = 64
+
+#: SERVFAIL/TIMEOUT retries per probe instant.
+_MAX_RETRIES = 2
+#: First-retry delay in seconds; doubles per attempt (5 s, then 10 s).
+_RETRY_BACKOFF = 5
+#: Stop probing a qtype whose host timed out through this many
+#: consecutive fully-retried instants.
+_DARK_HOST_SUPPRESS_AFTER = 3
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,6 @@ class ScanConfig:
     #: Per-authority probe cap in queries per simulated second
     #: (None: unthrottled).
     qps_per_authority: Optional[float] = None
-    #: SERVFAIL/TIMEOUT retries per probe instant.
-    max_retries: int = 2
-    #: First-retry delay in seconds; doubles per attempt.
-    retry_backoff: int = 5
     #: Max per-domain grid offset in seconds (deterministic; 0 = exact
     #: grid, required for loop equivalence).
     jitter: int = 0
@@ -107,56 +103,27 @@ class ScanConfig:
     #: NXDOMAIN instants (None: keep probing — the safe default, since
     #: a domain registered mid-window would be missed otherwise).
     terminate_nxdomain_streak: Optional[int] = None
-    #: Stop probing a qtype whose host timed out through this many
-    #: consecutive fully-retried instants (None: never give up).
-    dark_host_suppress_after: Optional[int] = 3
     #: Hard cap on probes sent across the whole run (None: unlimited).
     probe_budget: Optional[int] = None
     #: Deterministic fault plan (``scan.servfail`` / ``scan.timeout``
     #: storms, ``scan.latency`` spikes); a string parses via
     #: :meth:`FaultPlan.parse`.
     fault_plan: Optional[FaultPlan] = None
-    #: Per-TLD-authority circuit breaker (None: breakers off — the
-    #: loop-equivalent default).
-    breaker: Optional[BreakerConfig] = None
-    #: Simulated-seconds budget per probe instant: a retry whose due
-    #: time would land past ``nominal + probe_deadline`` is dropped
-    #: (None: retries bounded only by ``max_retries``).
-    probe_deadline: Optional[int] = None
-    #: Retry backoff policy: ``"exponential"`` (the historical
-    #: ``retry_backoff * 2**attempt``, bit-identical default) or
-    #: ``"decorrelated_jitter"`` (seeded AWS-style jitter).
-    backoff: str = ExponentialBackoff.name
-    #: Upper delay bound for the jitter policy (None: uncapped).
-    backoff_cap: Optional[float] = None
-    #: Seed for the jitter policy's per-chain draws.
-    backoff_seed: int = 0
 
     def __post_init__(self) -> None:
         if isinstance(self.fault_plan, str):
             object.__setattr__(self, "fault_plan",
                                FaultPlan.parse(self.fault_plan))
-        if self.backoff not in (ExponentialBackoff.name,
-                                DecorrelatedJitterBackoff.name):
-            raise ScanError(f"unknown backoff policy: {self.backoff!r}")
-        if self.probe_deadline is not None and self.probe_deadline <= 0:
-            raise ScanError(
-                f"probe_deadline must be positive: {self.probe_deadline}")
         if self.probe_interval <= 0 or self.duration <= 0:
             raise ScanError("probe interval and duration must be positive")
         if self.workers <= 0:
             raise ScanError(f"worker count must be positive: {self.workers}")
-        if self.max_retries < 0:
-            raise ScanError(f"max_retries must be >= 0: {self.max_retries}")
-        if self.retry_backoff <= 0:
-            raise ScanError(f"retry_backoff must be positive: {self.retry_backoff}")
         if self.qps_per_authority is not None and self.qps_per_authority <= 0:
             raise ScanError("qps_per_authority must be positive")
         if not 0 <= self.jitter < self.probe_interval:
             raise ScanError(f"jitter must lie in [0, interval): "
                             f"{self.jitter} vs {self.probe_interval}")
-        for name in ("terminate_nxdomain_streak", "dark_host_suppress_after",
-                     "probe_budget"):
+        for name in ("terminate_nxdomain_streak", "probe_budget"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ScanError(f"{name} must be positive, got {value}")
@@ -256,16 +223,7 @@ class ScanEngine:
         self._builders: Dict[str, _ReportBuilder] = {}
         self._reports: Dict[str, MonitorReport] = {}
         self._pops = 0
-        # Resilience plumbing: the backoff policy replaces the old
-        # inline ``retry_backoff * 2**attempt`` (the exponential
-        # default is bit-identical to it); breakers are keyed per TLD
-        # authority and created lazily on first probe.
-        self._backoff = make_backoff(
-            self.config.backoff, self.config.retry_backoff,
-            cap=self.config.backoff_cap, seed=self.config.backoff_seed)
-        self._breakers: Dict[str, CircuitBreaker] = {}
         self._resilience = get_resilience_metrics()
-        self._log = get_logger("resilience")
 
     # -- admission -------------------------------------------------------------
 
@@ -461,23 +419,7 @@ class ScanEngine:
                                            served_at=now),
                                   worker.index, entry.attempt, negcache=True)
             return 0
-        breaker = self._breaker_for(builder.tld)
-        if breaker is not None and not breaker.allow(now):
-            # Open circuit: refuse the probe outright and synthesize a
-            # timeout, so the ordinary retry path reprobes after
-            # backoff — by which time the breaker may be half-open.
-            self._resilience.breaker_skips.inc()
-            response = timeout(worker.query_for(domain, kind), served_at=now)
-            sent = 0
-        else:
-            response = self._inject_or_probe(builder, worker, kind, now,
-                                             entry)
-            if breaker is not None:
-                if response.rcode in (RCode.SERVFAIL, RCode.TIMEOUT):
-                    breaker.record_failure(now)
-                else:
-                    breaker.record_success(now)
-            sent = 1
+        response = self._inject_or_probe(builder, worker, kind, now, entry)
         if self.store is not None:
             self.store.record(domain, builder.tld, now, entry.nominal,
                               response, worker.index, entry.attempt,
@@ -486,7 +428,7 @@ class ScanEngine:
             self._handle_ns(builder, response, now, entry)
         else:
             self._handle_addr(builder, kind, response, entry)
-        return sent
+        return 1
 
     def _inject_or_probe(self, builder: _ReportBuilder, worker: ProbeWorker,
                          kind: RRType, now: int,
@@ -505,24 +447,6 @@ class ScanEngine:
                     return synthesize(worker.query_for(builder.domain, kind),
                                       served_at=now)
         return worker.probe(builder.domain, kind, now)
-
-    def _breaker_for(self, tld: str) -> Optional[CircuitBreaker]:
-        if self.config.breaker is None:
-            return None
-        breaker = self._breakers.get(tld)
-        if breaker is None:
-            breaker = CircuitBreaker(self.config.breaker, name=tld)
-            transitions = self._resilience.breaker_transitions
-            log = self._log
-
-            def on_transition(old: str, new: str, tld: str = tld) -> None:
-                transitions.labels(transition=f"{old}->{new}").inc()
-                log.warning(f"scan breaker {tld}: {old} -> {new}",
-                            authority=tld, transition=f"{old}->{new}")
-
-            breaker.on_transition = on_transition
-            self._breakers[tld] = breaker
-        return breaker
 
     def _handle_ns(self, builder: _ReportBuilder, response: Response,
                    now: int, entry: ProbeEntry) -> None:
@@ -569,28 +493,19 @@ class ScanEngine:
 
     def _maybe_retry(self, builder: _ReportBuilder, kind: RRType,
                      entry: ProbeEntry) -> None:
-        if entry.attempt < self.config.max_retries:
-            delay = self._backoff.delay(entry.attempt, builder.domain,
-                                        kind.name)
-            if not isinstance(delay, int):
-                delay = max(1, int(round(delay)))
-            due = entry.due + delay
-            budget = self.config.probe_deadline
-            if budget is None or due - entry.nominal <= budget:
-                self.metrics.retries.inc()
-                self.scheduler.schedule_retry(
-                    builder.domain, kind, due=due,
-                    nominal=entry.nominal, attempt=entry.attempt + 1,
-                    grid_index=entry.grid_index)
-                return
-            # The instant's deadline budget cannot absorb another
-            # backoff; give up on it like an exhausted retry chain.
-            self._resilience.deadline_exhausted.inc()
+        if entry.attempt < _MAX_RETRIES:
+            self.metrics.retries.inc()
+            self.scheduler.schedule_retry(
+                builder.domain, kind,
+                due=entry.due + _RETRY_BACKOFF * 2 ** entry.attempt,
+                nominal=entry.nominal, attempt=entry.attempt + 1,
+                grid_index=entry.grid_index)
+            return
         # Retry chain exhausted for this instant.
-        if kind is RRType.NS or self.config.dark_host_suppress_after is None:
+        if kind is RRType.NS:
             return
         streak = self.negcache.note_dark(builder.domain, kind)
-        if streak >= self.config.dark_host_suppress_after:
+        if streak >= _DARK_HOST_SUPPRESS_AFTER:
             # The host has been dark for enough consecutive instants;
             # stop burning probes on it (first_a/first_aaaa stay empty,
             # exactly what the loop would report).
@@ -634,10 +549,6 @@ class ScanEngine:
         snap["queue"] = {"pending": len(self.scheduler),
                          "domains": self.scheduler.domain_count}
         snap["budget_exhausted"] = self.budget_exhausted
-        if self._breakers:
-            snap["breakers"] = {tld: breaker.snapshot()
-                                for tld, breaker
-                                in sorted(self._breakers.items())}
         if self.store is not None:
             snap["store"] = self.store.summary()
         return snap

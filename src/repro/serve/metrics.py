@@ -29,7 +29,6 @@ class ServeMetrics:
         self.dropped_queue_full = Counter("dropped_queue_full")
         self.dropped_rate_limited = Counter("dropped_rate_limited")
         self.evicted_clients = Counter("evicted_clients")
-        self.shed_clients = Counter("shed_clients")
         self.filtered_out = Counter("filtered_out")
         self.delivery_lag = Histogram("delivery_lag_seconds")
         self.queue_depth = Histogram(
@@ -39,8 +38,7 @@ class ServeMetrics:
         """The primitives, for registry exposition."""
         return (self.published, self.delivered, self.dropped_queue_full,
                 self.dropped_rate_limited, self.evicted_clients,
-                self.shed_clients, self.filtered_out, self.delivery_lag,
-                self.queue_depth)
+                self.filtered_out, self.delivery_lag, self.queue_depth)
 
     def snapshot(self) -> Dict[str, object]:
         """A JSON-ready view of every metric."""
@@ -50,7 +48,6 @@ class ServeMetrics:
             "dropped_queue_full": self.dropped_queue_full.value,
             "dropped_rate_limited": self.dropped_rate_limited.value,
             "evicted_clients": self.evicted_clients.value,
-            "shed_clients": self.shed_clients.value,
             "filtered_out": self.filtered_out.value,
             "delivery_lag": self.delivery_lag.snapshot(),
             "queue_depth": self.queue_depth.snapshot(),

@@ -28,14 +28,13 @@ over the pipeline's public NRD feed ("zonestream").  See
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.bus.broker import Broker, TOPIC_FEED
 from repro.core.feed import FeedRecord, read_jsonl_records
 from repro.errors import ServeError
-from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 from repro.resilience.faults import FaultPlan
@@ -69,11 +68,6 @@ class FeedServerConfig:
     #: ``log.torn_write`` in the segment writer); a string parses via
     #: :meth:`FaultPlan.parse`.
     fault_plan: Optional[FaultPlan] = None
-    #: Total-pending threshold above which overload shedding kicks in
-    #: (None: shedding off).  Subscribers are shed lowest tier first.
-    shed_pending_threshold: Optional[int] = None
-    #: Tier order for shedding, cheapest casualties first.
-    shed_tier_order: tuple = ("free", "standard", "premium")
 
 
 class FeedServer:
@@ -100,9 +94,7 @@ class FeedServer:
             evict_after_drops=self.config.evict_after_drops,
             metrics=self.metrics)
         self._replay_skipped = 0
-        self._shed_total = 0
         self._resilience = get_resilience_metrics()
-        self._log = get_logger("resilience")
         #: Observation time of the newest ingested record (drive loops
         #: use it as "server now" between pump batches).
         self.last_ingested_ts = 0
@@ -181,41 +173,7 @@ class FeedServer:
             if self.fanout.is_evicted(client_id):
                 self.subscriptions.unsubscribe(client_id)
                 self.limiter.forget(client_id)
-        threshold = self.config.shed_pending_threshold
-        if threshold is not None and self.fanout.pending() > threshold:
-            self._shed_overload(at)
         return accepted
-
-    def _shed_overload(self, now: int) -> None:
-        """Shed subscribers until total pending is back under threshold.
-
-        Victims are chosen lowest tier first (``shed_tier_order``:
-        free before standard before premium — paying consumers keep
-        their feed), and within a tier the client with the deepest
-        backlog goes first (ties broken by client id, so the order is
-        deterministic).  Shedding unsubscribes the client entirely:
-        half-serving an overloaded queue only hides the lag.
-        """
-        threshold = self.config.shed_pending_threshold
-        if threshold is None:
-            return
-        by_tier: Dict[str, List[str]] = {}
-        for client_id, tier in self.subscriptions.tiers().items():
-            by_tier.setdefault(tier, []).append(client_id)
-        for tier in self.config.shed_tier_order:
-            victims = sorted(by_tier.get(tier, ()),
-                             key=lambda cid: (-self.fanout.pending(cid), cid))
-            for client_id in victims:
-                if self.fanout.pending() <= threshold:
-                    return
-                pending = self.fanout.pending(client_id)
-                self.unsubscribe(client_id)
-                self._shed_total += 1
-                self.metrics.shed_clients.inc()
-                self._resilience.shed_clients.labels(tier=tier).inc()
-                self._log.warning("overload: shed subscriber",
-                                  client_id=client_id, tier=tier,
-                                  pending=pending, at=now)
 
     def pump(self, max_messages: Optional[int] = None) -> int:
         """Ingest every new record from the broker's feed topic.
@@ -322,8 +280,8 @@ class FeedServer:
                               target=client_id, at=now)
             if spec is not None:
                 # A stalled consumer simply doesn't drain its queue;
-                # the records stay put (and back-pressure/shedding sees
-                # the growing backlog).
+                # the records stay put (and back-pressure sees the
+                # growing backlog).
                 self._resilience.faults_injected.labels(
                     kind="serve.stall").inc()
                 return []
@@ -372,7 +330,6 @@ class FeedServer:
         snap["clients"] = self.client_count
         snap["pending"] = self.fanout.pending()
         snap["replay_skipped"] = self._replay_skipped
-        snap["shed_total"] = self._shed_total
         snap["log"] = self.log.stats()
         snap["shards"] = self.fanout.shard_loads()
         return snap

@@ -206,7 +206,3 @@ class SubscriptionManager:
             if sub.predicate(record):
                 out.append(sub)
         return out
-
-    def tiers(self) -> Dict[str, str]:
-        """client id -> tier, for the rate limiter."""
-        return {cid: sub.tier for cid, sub in self._subs.items()}

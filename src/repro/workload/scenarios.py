@@ -57,6 +57,7 @@ which anomaly detector the scenario must light up.  Authoring guide:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Type
 
@@ -225,10 +226,14 @@ class Scenario:
                     f"(knobs: {known})")
             try:
                 params[key] = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(
                     f"scenario knob {key!r} must be a number, "
                     f"got {value!r}") from None
+            if not math.isfinite(params[key]):
+                raise ConfigError(
+                    f"scenario knob {key!r} must be finite, "
+                    f"got {value!r}")
         self.params: Dict[str, float] = params
 
     def knob(self, name: str) -> float:

@@ -99,6 +99,22 @@ class TestCLI:
         assert rc == 2
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--fault-plan", "scan.latency:rate=1,delay=inf"],
+        ["scan", "--fault-plan", "scan.latency:rate=1,delay=nan"],
+        ["scan", "--fault-plan",
+         '{"faults":[{"kind":"scan.servfail","start":1e400}]}'],
+        ["scan", "--fault-plan",
+         '{"faults":[{"kind":"scan.servfail","fires":1e400}]}'],
+        ["reproduce", "--scenario", "registrar-burst:burst_mult=nan"],
+        ["reproduce", "--scenario", "registrar-burst:burst_mult=inf"],
+    ])
+    def test_non_finite_spec_exits_2_with_one_line(self, argv, capsys):
+        rc = main(argv + ["--scale", "5000", "--no-cctld"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
     def test_serve_replay_command(self, tmp_path, capsys):
         archive = tmp_path / "feed.jsonl"
         rc = main(["feed", "--scale", "5000", "--no-cctld",

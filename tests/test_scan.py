@@ -387,8 +387,6 @@ class TestEngineBehaviour:
             ScanConfig(qps_per_authority=-1)
         with pytest.raises(ScanError):
             ScanConfig(probe_budget=0)
-        with pytest.raises(ScanError):
-            ScanConfig(retry_backoff=0)
         # Jitter is config-level so the CLI fails fast, before paying
         # for the world build.
         with pytest.raises(ScanError):

@@ -17,9 +17,12 @@ Four layers of guarantees:
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pipeline import run_pipeline
 from repro.errors import ConfigError
@@ -109,6 +112,26 @@ class TestRegistry:
                 description = "forgot the name"
 
 
+# Spec grammar for the never-raise property: real scenario and knob
+# names with hostile values, plus free text.
+_names = st.one_of(st.sampled_from(scenario_names()), st.text(max_size=12))
+_knob_names = st.one_of(
+    st.sampled_from(sorted({knob.name for cls in iter_scenarios()
+                            for knob in cls.knobs})),
+    st.text(max_size=8))
+_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(str),
+    st.integers().map(str), st.text(max_size=8),
+    st.sampled_from(["1e400", "-1e400", "inf", "nan"]))
+
+
+@st.composite
+def _specs(draw):
+    knobs = ",".join(f"{draw(_knob_names)}={draw(_values)}"
+                     for _ in range(draw(st.integers(0, 3))))
+    return f"{draw(_names)}:{knobs}" if knobs else draw(_names)
+
+
 class TestSpecParsing:
 
     def test_bare_name(self):
@@ -130,6 +153,30 @@ class TestSpecParsing:
         # A bad name fails at config construction, before any build work.
         with pytest.raises(ConfigError, match="unknown scenario"):
             ScenarioConfig(seed=1, scale=1 / 5000, scenario="nope")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_knob_rejected(self, value):
+        name, knobs = parse_scenario_spec(
+            f"registrar-burst:burst_mult={value}")
+        with pytest.raises(ConfigError, match="finite"):
+            get_scenario(name, knobs)
+
+    def test_knob_too_large_for_a_float_rejected(self):
+        with pytest.raises(ConfigError):
+            get_scenario("registrar-burst", {"burst_day": 10 ** 400})
+
+    @given(st.one_of(st.text(), _specs()))
+    @settings(max_examples=400, deadline=None)
+    def test_spec_to_plugin_never_raises_anything_but_config_error(
+            self, spec):
+        """The boundary contract: a plugin or ConfigError, and every
+        accepted knob value is finite."""
+        try:
+            scenario = get_scenario(*parse_scenario_spec(spec))
+        except ConfigError:
+            return
+        assert isinstance(scenario, Scenario)
+        assert all(math.isfinite(v) for v in scenario.params.values())
 
 
 # --------------------------------------------------------------------------
