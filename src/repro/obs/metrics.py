@@ -235,6 +235,18 @@ class Histogram:
         if value > self.max:
             self.max = value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """``observe`` each value in order, in one call."""
+        buckets, bounds = self.buckets, self.bounds
+        total, top = self.total, self.max
+        for value in values:
+            buckets[bisect_right(bounds, value)] += 1
+            total += value
+            if value > top:
+                top = value
+        self.count += len(values)
+        self.total, self.max = total, top
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -127,6 +127,10 @@ class ScanConfig:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ScanError(f"{name} must be positive, got {value}")
+        for spec in self.fault_plan.specs if self.fault_plan else ():
+            if spec.kind == "scan.latency" and spec.delay > self.duration:
+                raise ScanError(f"scan.latency delay {spec.delay:g} s is "
+                                f"longer than the {self.duration} s window")
 
 
 class _ReportBuilder:
@@ -351,6 +355,8 @@ class ScanEngine:
                 kinds = ((entry.kind,)
                          if self._kind_open(builder, entry.kind) else ())
                 if not kinds:
+                    if scheduler.finished(entry):
+                        self._finalize(builder)
                     continue
             if (budget is not None
                     and base_sent + sent + len(kinds) > budget):
@@ -384,9 +390,13 @@ class ScanEngine:
                 sent += self._probe(builder, worker, kind, entry)
                 if builder.finalized:
                     break
-            if is_grid and not builder.finalized:
-                if not scheduler.advance_entry(entry):
-                    self._finalize(builder)
+            if builder.finalized or (is_grid
+                                     and scheduler.advance_entry(entry)):
+                continue
+            # A domain is done once its last instant's retries have run
+            # too, not as soon as its grid runs out.
+            if scheduler.finished(entry):
+                self._finalize(builder)
         self.metrics.probes_sent.inc(sent)
         for worker in self.workers:
             worker.flush_stats()

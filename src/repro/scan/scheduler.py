@@ -70,7 +70,8 @@ class ProbeEntry:
 
 
 class _DomainSchedule:
-    __slots__ = ("start", "jitter", "grid_len", "next_index", "terminated")
+    __slots__ = ("start", "jitter", "grid_len", "next_index", "terminated",
+                 "singles")
 
     def __init__(self, start: int, jitter: int, grid_len: int) -> None:
         self.start = start
@@ -78,6 +79,8 @@ class _DomainSchedule:
         self.grid_len = grid_len
         self.next_index = 0
         self.terminated = False
+        #: Single-probe entries (retries, stalled tails) in the queue.
+        self.singles = 0
 
 
 class ProbeScheduler:
@@ -125,6 +128,8 @@ class ProbeScheduler:
                               state=state))
 
     def _push(self, entry: ProbeEntry, band: int = 0) -> None:
+        if entry.kind is not None:
+            entry.state.singles += 1
         self._seq += 1
         heapq.heappush(self._heap, (entry.due, band, self._seq, entry))
 
@@ -138,6 +143,8 @@ class ProbeScheduler:
         """
         while self._heap:
             _, _, _, entry = heapq.heappop(self._heap)
+            if entry.kind is not None:
+                entry.state.singles -= 1
             if entry.state.terminated:
                 continue
             return entry
@@ -159,6 +166,12 @@ class ProbeScheduler:
             return False
         self._push_grid(domain, state)
         return True
+
+    def finished(self, entry: ProbeEntry) -> bool:
+        """True once the entry's domain has run its last grid instant
+        and has no retry or stalled tail left in the queue."""
+        state = entry.state
+        return state.next_index >= state.grid_len and not state.singles
 
     def schedule_retry(self, domain: str, kind: RRType, due: int,
                        nominal: int, attempt: int, grid_index: int,
@@ -183,10 +196,6 @@ class ProbeScheduler:
         state = self._domains.get(domain)
         if state is not None:
             state.terminated = True
-
-    def is_terminated(self, domain: str) -> bool:
-        state = self._domains.get(domain)
-        return state is not None and state.terminated
 
     def grid_size(self, domain: str) -> int:
         return self._domains[domain].grid_len

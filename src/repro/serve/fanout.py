@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.core.feed import FeedRecord
 from repro.errors import EvictedClientError, ServeError, UnknownClientError
@@ -35,87 +35,36 @@ SHARD_SALT = "serve.fanout"
 
 @dataclass
 class ClientQueue:
-    """One subscriber's pending deliveries."""
+    """One subscriber's pending deliveries and the shard it belongs to."""
 
-    client_id: str
-    max_depth: int
-    queue: Deque[Tuple[int, FeedRecord]] = field(default_factory=deque)
+    shard: "FanoutShard"
+    queue: Deque[FeedRecord] = field(default_factory=deque)
     #: Consecutive enqueue-side drops since the last successful poll.
     consecutive_drops: int = 0
     delivered: int = 0
-    dropped: int = 0
-
-    def offer(self, record: FeedRecord, now: int) -> bool:
-        """Enqueue a record; on overflow drop the *oldest* entry.
-
-        Returns False when something was dropped (the new record still
-        lands — freshest-wins backpressure).
-        """
-        dropped = False
-        if len(self.queue) >= self.max_depth:
-            self.queue.popleft()
-            self.dropped += 1
-            self.consecutive_drops += 1
-            dropped = True
-        self.queue.append((now, record))
-        return not dropped
-
-    def drain(self, max_records: int) -> List[Tuple[int, FeedRecord]]:
-        out: List[Tuple[int, FeedRecord]] = []
-        while self.queue and len(out) < max_records:
-            out.append(self.queue.popleft())
-        if out:
-            self.consecutive_drops = 0
-            self.delivered += len(out)
-        return out
 
 
 class FanoutShard:
     """One delivery worker: the queues of its assigned clients."""
 
-    def __init__(self, index: int, max_queue_depth: int,
-                 evict_after_drops: int) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
-        self.max_queue_depth = max_queue_depth
-        self.evict_after_drops = evict_after_drops
         self._queues: Dict[str, ClientQueue] = {}
         self.routed = 0
 
     def __len__(self) -> int:
         return len(self._queues)
 
-    def add_client(self, client_id: str) -> ClientQueue:
-        queue = ClientQueue(client_id, self.max_queue_depth)
-        self._queues[client_id] = queue
-        return queue
-
-    def remove_client(self, client_id: str) -> Optional[ClientQueue]:
-        return self._queues.pop(client_id, None)
-
-    def queue_for(self, client_id: str) -> Optional[ClientQueue]:
-        return self._queues.get(client_id)
-
-    def enqueue(self, client_id: str, record: FeedRecord, now: int,
-                metrics: ServeMetrics) -> bool:
-        """Queue one delivery; returns False when the client was evicted."""
-        queue = self._queues.get(client_id)
-        if queue is None:
-            return False
-        self.routed += 1
-        if not queue.offer(record, now):
-            metrics.dropped_queue_full.inc()
-            if queue.consecutive_drops >= self.evict_after_drops:
-                self._queues.pop(client_id)
-                metrics.evicted_clients.inc()
-                return False
-        return True
-
     def pending(self) -> int:
         return sum(len(q.queue) for q in self._queues.values())
 
 
 class FanoutDispatcher:
-    """Routes matched records to client queues across shards."""
+    """Routes matched records to client queues across shards.
+
+    A client's shard is hashed once, when it is added; from then on
+    every delivery and poll finds its queue through one dict lookup.
+    """
 
     def __init__(self, shards: int = 4, max_queue_depth: int = 1024,
                  evict_after_drops: int = 64,
@@ -123,77 +72,103 @@ class FanoutDispatcher:
         if shards <= 0:
             raise ServeError("need at least one shard")
         self.metrics = metrics if metrics is not None else ServeMetrics()
-        self.shards = [FanoutShard(i, max_queue_depth, evict_after_drops)
-                       for i in range(shards)]
+        self.max_queue_depth = max_queue_depth
+        self.evict_after_drops = evict_after_drops
+        self.shards = [FanoutShard(i) for i in range(shards)]
+        #: client id -> queue, for every active client of every shard.
+        self._queues: Dict[str, ClientQueue] = {}
         self._evicted: set = set()
 
     # -- membership -----------------------------------------------------------
 
-    def shard_for(self, client_id: str) -> FanoutShard:
-        return self.shards[stable_bucket(client_id, len(self.shards),
-                                         SHARD_SALT)]
-
     def add_client(self, client_id: str) -> None:
         self._evicted.discard(client_id)
-        self.shard_for(client_id).add_client(client_id)
+        shard = self.shards[stable_bucket(client_id, len(self.shards),
+                                          SHARD_SALT)]
+        queue = ClientQueue(shard)
+        shard._queues[client_id] = queue
+        self._queues[client_id] = queue
 
     def remove_client(self, client_id: str) -> None:
-        self.shard_for(client_id).remove_client(client_id)
+        queue = self._queues.pop(client_id, None)
+        if queue is not None:
+            del queue.shard._queues[client_id]
         self._evicted.discard(client_id)
 
     def is_evicted(self, client_id: str) -> bool:
         return client_id in self._evicted
 
     def active_clients(self) -> List[str]:
-        out: List[str] = []
-        for shard in self.shards:
-            out.extend(shard._queues)
-        return sorted(out)
+        return sorted(self._queues)
 
     # -- delivery -------------------------------------------------------------
 
-    def dispatch(self, record: FeedRecord, client_ids: List[str],
-                 now: int) -> int:
+    def dispatch(self, record: FeedRecord, client_ids: List[str]) -> int:
         """Fan one record out to the given (already-matched) clients.
 
-        Returns how many queues accepted it.  Clients whose queue
-        overflowed past the eviction threshold are dropped from their
-        shard and remembered so ``poll`` can tell them why.
+        Returns how many queues accepted it.  A full queue drops its
+        oldest record; a client whose drop streak reaches
+        ``evict_after_drops`` is dropped from its shard, counted in
+        ``metrics.evicted_clients`` and remembered so ``poll`` can tell
+        it why.
         """
-        accepted = 0
+        queues = self._queues
+        max_depth = self.max_queue_depth
+        accepted = len(client_ids)
         for client_id in client_ids:
-            shard = self.shard_for(client_id)
-            if shard.enqueue(client_id, record, now, self.metrics):
-                accepted += 1
-            elif shard.queue_for(client_id) is None:
+            queue = queues.get(client_id)
+            if queue is None:
                 self._evicted.add(client_id)
+                accepted -= 1
+                continue
+            queue.shard.routed += 1
+            pending = queue.queue
+            if len(pending) >= max_depth:
+                pending.popleft()
+                queue.consecutive_drops += 1
+                self.metrics.dropped_queue_full.inc()
+                if queue.consecutive_drops >= self.evict_after_drops:
+                    self.remove_client(client_id)
+                    self._evicted.add(client_id)
+                    self.metrics.evicted_clients.inc()
+                    accepted -= 1
+                    continue
+            pending.append(record)
         return accepted
 
     def poll(self, client_id: str, now: int,
              max_records: int = 100) -> List[FeedRecord]:
         """Drain up to ``max_records`` pending deliveries for a client."""
-        shard = self.shard_for(client_id)
-        queue = shard.queue_for(client_id)
+        queue = self._queues.get(client_id)
         if queue is None:
             if client_id in self._evicted:
                 raise EvictedClientError(
                     f"client {client_id!r} was evicted as a slow consumer")
             raise UnknownClientError(f"no queue for client {client_id!r}")
-        self.metrics.queue_depth.observe(len(queue.queue))
-        batch = queue.drain(max_records)
-        out: List[FeedRecord] = []
-        for enqueued_at, record in batch:
-            self.metrics.delivered.inc()
-            self.metrics.delivery_lag.observe(max(0, now - record.seen_at))
-            out.append(record)
-        return out
+        pending = queue.queue
+        metrics = self.metrics
+        metrics.queue_depth.observe(len(pending))
+        n = min(len(pending), max_records)
+        if n <= 0:
+            return []
+        if n == len(pending):
+            batch = list(pending)
+            pending.clear()
+        else:
+            batch = [pending.popleft() for _ in range(n)]
+        queue.consecutive_drops = 0
+        queue.delivered += n
+        metrics.delivered.inc(n)
+        metrics.delivery_lag.observe_many(
+            [now - r.seen_at if now > r.seen_at else 0 for r in batch])
+        return batch
 
     def pending(self, client_id: Optional[str] = None) -> int:
         """Undelivered records: one client's queue, or all queues."""
         if client_id is not None:
-            queue = self.shard_for(client_id).queue_for(client_id)
+            queue = self._queues.get(client_id)
             return len(queue.queue) if queue is not None else 0
-        return sum(shard.pending() for shard in self.shards)
+        return sum(len(q.queue) for q in self._queues.values())
 
     def delivered_counts(self) -> Dict[str, int]:
         """client id -> records delivered so far (active clients only)."""

@@ -127,7 +127,7 @@ class FeedServer:
         if backfill_since is not None:
             for record in self.log.replay_since(backfill_since):
                 if sub.matches(record):
-                    self.fanout.dispatch(record, [client_id], now)
+                    self.fanout.dispatch(record, [client_id])
 
     def unsubscribe(self, client_id: str) -> None:
         """Deregister a client and discard its queued deliveries."""
@@ -142,20 +142,12 @@ class FeedServer:
 
     # -- ingest ---------------------------------------------------------------
 
-    def ingest(self, record: FeedRecord,
-               enqueue_at: Optional[int] = None) -> int:
+    def ingest(self, record: FeedRecord) -> int:
         """Publish one record into the log and the matching queues.
-
-        Args:
-            record: the feed record to distribute.
-            enqueue_at: delivery-queue timestamp; defaults to the
-                record's observation time, so delivery lag measures
-                observation → consumption.
 
         Returns:
             The number of client queues that accepted the record.
         """
-        at = record.seen_at if enqueue_at is None else enqueue_at
         self.metrics.published.inc()
         self.last_ingested_ts = max(self.last_ingested_ts, record.seen_at)
         self.log.append(record)
@@ -164,15 +156,16 @@ class FeedServer:
             self.metrics.filtered_out.inc()
             return 0
         client_ids = [s.client_id for s in matched]
-        accepted = self.fanout.dispatch(record, client_ids, at)
-        for client_id in client_ids:
-            # Eviction tore down the queue; retire the subscription and
-            # bucket too, so the client can resubscribe (and stops
-            # costing matching work).  The fan-out layer remembers the
-            # eviction so a poll() still explains what happened.
-            if self.fanout.is_evicted(client_id):
-                self.subscriptions.unsubscribe(client_id)
-                self.limiter.forget(client_id)
+        accepted = self.fanout.dispatch(record, client_ids)
+        if accepted != len(client_ids):
+            # Each client that refused the record was evicted; retire
+            # its subscription and bucket too, so it can resubscribe
+            # (and stops costing matching work).  The fan-out layer
+            # remembers the eviction so a poll() can explain it.
+            for client_id in client_ids:
+                if self.fanout.is_evicted(client_id):
+                    self.subscriptions.unsubscribe(client_id)
+                    self.limiter.forget(client_id)
         return accepted
 
     def pump(self, max_messages: Optional[int] = None) -> int:
@@ -293,9 +286,9 @@ class FeedServer:
                 # Only count polls that actually deferred records.
                 self.metrics.dropped_rate_limited.inc()
             return []
-        batch = self.fanout.poll(client_id, now, max_records=allowed)
+        batch = self.fanout.poll(client_id, now, allowed)
         if batch:
-            self.limiter.allow(client_id, now, n=len(batch))
+            self.limiter.allow(client_id, now, len(batch))
         return batch
 
     def drain_all(self, now: int, max_records: int = 100) -> int:

@@ -81,14 +81,15 @@ class FilterSpec:
                 raise ServeError(f"unknown filter field {key!r}")
         return cls(tlds=tlds, sources=sources, domain_glob=glob, since=since)
 
-    def compile(self) -> Predicate:
+    def compile(self, skip_tld: bool = False) -> Predicate:
         """Build the fastest predicate this spec allows.
 
         Constraints that are absent contribute no per-record work; a
-        fully empty spec compiles to a constant-True function.
+        fully empty spec compiles to :func:`match_all`.  ``skip_tld``
+        leaves the TLD check out, for records the TLD index routed.
         """
         checks: List[Predicate] = []
-        if self.tlds:
+        if self.tlds and not skip_tld:
             tlds = self.tlds
             checks.append(lambda r: r.tld in tlds)
         if self.sources:
@@ -101,10 +102,15 @@ class FilterSpec:
             since = self.since
             checks.append(lambda r: r.seen_at >= since)
         if not checks:
-            return lambda r: True
+            return match_all
         if len(checks) == 1:
             return checks[0]
         return lambda r: all(check(r) for check in checks)
+
+
+def match_all(record: FeedRecord) -> bool:
+    """The predicate of a spec with no constraint."""
+    return True
 
 
 @dataclass
@@ -115,10 +121,15 @@ class Subscription:
     spec: FilterSpec
     tier: str = "standard"
     predicate: Predicate = field(init=False, repr=False)
+    #: The predicate minus the TLD check, or None when that leaves
+    #: nothing to test: what a TLD-routed candidate still has to pass.
+    residual: Optional[Predicate] = field(init=False, repr=False)
     subscribed_at: int = 0
 
     def __post_init__(self) -> None:
         self.predicate = self.spec.compile()
+        residual = self.spec.compile(skip_tld=True)
+        self.residual = None if residual is match_all else residual
 
     def matches(self, record: FeedRecord) -> bool:
         return self.predicate(record)
@@ -136,19 +147,13 @@ class SubscriptionManager:
         self._allowed_tiers = frozenset(
             TIERS if allowed_tiers is None else allowed_tiers)
         self._subs: Dict[str, Subscription] = {}
-        #: tld -> client ids constrained to that tld.
-        self._by_tld: Dict[str, List[str]] = {}
-        #: client ids with no TLD constraint (match every tld).
-        self._wildcard: List[str] = []
+        #: tld -> subscriptions constrained to that tld.
+        self._by_tld: Dict[str, List[Subscription]] = {}
+        #: subscriptions with no TLD constraint (match every tld).
+        self._wildcard: List[Subscription] = []
 
     def __len__(self) -> int:
         return len(self._subs)
-
-    def __contains__(self, client_id: str) -> bool:
-        return client_id in self._subs
-
-    def client_ids(self) -> List[str]:
-        return sorted(self._subs)
 
     def subscribe(self, client_id: str, spec: FilterSpec,
                   tier: str = "standard", now: int = 0) -> Subscription:
@@ -162,9 +167,9 @@ class SubscriptionManager:
         self._subs[client_id] = sub
         if spec.tlds:
             for tld in spec.tlds:
-                self._by_tld.setdefault(tld, []).append(client_id)
+                self._by_tld.setdefault(tld, []).append(sub)
         else:
-            self._wildcard.append(client_id)
+            self._wildcard.append(sub)
         return sub
 
     def unsubscribe(self, client_id: str) -> Subscription:
@@ -173,21 +178,13 @@ class SubscriptionManager:
             raise UnknownClientError(f"no subscription for {client_id!r}")
         if sub.spec.tlds:
             for tld in sub.spec.tlds:
-                ids = self._by_tld.get(tld, [])
-                if client_id in ids:
-                    ids.remove(client_id)
-                if not ids:
-                    self._by_tld.pop(tld, None)
-        elif client_id in self._wildcard:
-            self._wildcard.remove(client_id)
+                subs = self._by_tld[tld]
+                subs.remove(sub)
+                if not subs:
+                    del self._by_tld[tld]
+        else:
+            self._wildcard.remove(sub)
         return sub
-
-    def get(self, client_id: str) -> Subscription:
-        try:
-            return self._subs[client_id]
-        except KeyError:
-            raise UnknownClientError(
-                f"no subscription for {client_id!r}") from None
 
     def match(self, record: FeedRecord) -> List[Subscription]:
         """All subscriptions whose filter accepts the record.
@@ -196,13 +193,8 @@ class SubscriptionManager:
         tested; result order is deterministic (candidate registration
         order) so deliveries are reproducible.
         """
-        out: List[Subscription] = []
-        for client_id in self._by_tld.get(record.tld, ()):
-            sub = self._subs[client_id]
-            if sub.predicate(record):
-                out.append(sub)
-        for client_id in self._wildcard:
-            sub = self._subs[client_id]
-            if sub.predicate(record):
-                out.append(sub)
+        out = [sub for sub in self._by_tld.get(record.tld, ())
+               if sub.residual is None or sub.residual(record)]
+        out += [sub for sub in self._wildcard
+                if sub.residual is None or sub.residual(record)]
         return out

@@ -1,5 +1,6 @@
 """Smoke tests: the CLI and every example run end to end."""
 
+import hashlib
 import json
 import runpy
 import subprocess
@@ -58,6 +59,24 @@ class TestCLI:
         assert snap["delivered"] > 0
         assert "delivery_lag" in snap and "dropped_queue_full" in snap
 
+    @pytest.mark.parametrize("extra, digest", [
+        ([], "909a72a6bf94ad4f1d236d0e0e27278c"
+             "ba3aaea9bbc2c5248d27395f1e00d180"),
+        # 25,756 queue-full drops and 20 evictions: the slow-consumer
+        # path end to end.
+        (["--queue-depth", "4", "--fault-plan",
+          "seed=3;serve.stall:rate=0.9"],
+         "f4593147873b0ea0988a7f86af7abecd"
+         "15f456fc54b12957fd99a3d5eabbf526"),
+    ])
+    def test_serve_stdout_is_pinned(self, extra, digest, capsys):
+        """``repro serve`` prints the same snapshot, byte for byte, as
+        the per-client fan-out it was optimised from."""
+        rc = main(["serve", "--scale", "2000", "--seed", "7"] + extra)
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_scenarios_command_lists_the_registry(self, capsys):
         from repro.workload.scenarios import iter_scenarios
         rc = main(["scenarios"])
@@ -102,6 +121,7 @@ class TestCLI:
     @pytest.mark.parametrize("argv", [
         ["scan", "--fault-plan", "scan.latency:rate=1,delay=inf"],
         ["scan", "--fault-plan", "scan.latency:rate=1,delay=nan"],
+        ["scan", "--fault-plan", "scan.latency:rate=1,delay=1e300"],
         ["scan", "--fault-plan",
          '{"faults":[{"kind":"scan.servfail","start":1e400}]}'],
         ["scan", "--fault-plan",

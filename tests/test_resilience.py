@@ -21,6 +21,7 @@ from repro.errors import (
     ConfigError,
     ReproError,
     ResilienceError,
+    ScanError,
     SegmentCorruptionError,
 )
 from repro.resilience import (
@@ -62,7 +63,8 @@ _param_names = st.one_of(st.sampled_from(sorted(_PARAMS)),
 _numbers = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                      st.integers())
 _cli_values = st.one_of(_numbers.map(str), st.text(max_size=8),
-                        st.sampled_from(["1e400", "-1e400", "inf", "nan"]))
+                        st.sampled_from(["1e400", "-1e400", "inf", "nan",
+                                         "1e300", "172801"]))
 _json_values = st.one_of(_numbers.map(json.dumps),
                          st.text(max_size=8).map(json.dumps),
                          st.sampled_from(["1e400", "-1e400", "NaN",
@@ -80,6 +82,11 @@ def _cli_plans(draw):
                           for _ in range(draw(st.integers(0, 3))))
         segments.append(f"{draw(_kinds)}:{params}")
     return ";".join(segments)
+
+
+#: A latency spike of hostile length, which the scan must refuse when it
+#: outlasts the monitoring window.
+_latency_plans = _cli_values.map(lambda value: f"scan.latency:delay={value}")
 
 
 @st.composite
@@ -206,11 +213,14 @@ class TestFaultPlan:
         with pytest.raises(ConfigError):
             FaultPlan.parse(str(binary))
 
-    @given(st.one_of(st.text(), _cli_plans(), _json_plans()))
+    @given(st.one_of(st.text(), _cli_plans(), _json_plans(),
+                     _latency_plans))
     @settings(max_examples=400, deadline=None)
     def test_parse_never_raises_anything_but_config_error(self, text):
         """The boundary contract: a plan, None, or ConfigError — and an
-        accepted plan holds only finite numbers."""
+        accepted plan holds only finite numbers.  A scan accepts the
+        plan or raises ScanError, and never holds a latency spike
+        longer than its monitoring window."""
         try:
             plan = FaultPlan.parse(text)
         except ConfigError:
@@ -221,6 +231,13 @@ class TestFaultPlan:
                 value = getattr(spec, name)
                 assert not (isinstance(value, float)
                             and not math.isfinite(value)), (name, value)
+        try:
+            config = ScanConfig(fault_plan=plan)
+        except ScanError:
+            return
+        for spec in (plan.specs if plan is not None else ()):
+            if spec.kind == "scan.latency":
+                assert spec.delay <= config.duration, spec
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +278,7 @@ class TestScanChaos:
         engine.observe_all(starts)
         chains = {}
         for domain in starts:
-            rows = store.for_domain(domain)
-            # The domain is finalized when its grid runs out, which drops
-            # the retries of its last instant; pin every other instant.
-            last = max(row["nominal_ts"] for row in rows)
-            for row in rows:
-                if row["nominal_ts"] == last:
-                    continue
+            for row in store.for_domain(domain):
                 key = (domain, row["nominal_ts"], row["qtype"])
                 chains.setdefault(key, []).append(
                     (row["attempt"], row["ts"] - row["nominal_ts"]))

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles.fanout import FanoutDispatcher as OracleDispatcher
 from repro.bus.broker import Broker, TOPIC_FEED
 from repro.core.feed import FeedRecord, PublicFeed
 from repro.core.pipeline import DarkDNSPipeline
@@ -227,7 +230,7 @@ class TestFanout:
     def test_dispatch_and_poll(self):
         dispatcher = FanoutDispatcher(shards=2)
         dispatcher.add_client("a")
-        accepted = dispatcher.dispatch(record(), ["a"], now=2000)
+        accepted = dispatcher.dispatch(record(), ["a"])
         assert accepted == 1
         got = dispatcher.poll("a", now=2000)
         assert len(got) == 1
@@ -238,7 +241,7 @@ class TestFanout:
                                       evict_after_drops=1000)
         dispatcher.add_client("slow")
         for i in range(5):
-            dispatcher.dispatch(record(i), ["slow"], now=2000)
+            dispatcher.dispatch(record(i), ["slow"])
         got = dispatcher.poll("slow", now=2000, max_records=10)
         # oldest two were dropped; the three newest survive
         assert [r.domain for r in got] == ["d2.com", "d3.com", "d4.com"]
@@ -249,7 +252,7 @@ class TestFanout:
                                       evict_after_drops=4)
         dispatcher.add_client("dead")
         for i in range(10):
-            dispatcher.dispatch(record(i), ["dead"], now=2000)
+            dispatcher.dispatch(record(i), ["dead"])
         assert dispatcher.is_evicted("dead")
         assert dispatcher.metrics.evicted_clients.value == 1
         with pytest.raises(EvictedClientError):
@@ -261,7 +264,7 @@ class TestFanout:
         dispatcher.add_client("spiky")
         for burst in range(5):
             for i in range(5):  # 3 drops per burst, under the threshold
-                dispatcher.dispatch(record(i), ["spiky"], now=2000)
+                dispatcher.dispatch(record(i), ["spiky"])
             dispatcher.poll("spiky", now=2000, max_records=10)
         assert not dispatcher.is_evicted("spiky")
 
@@ -272,6 +275,68 @@ class TestFanout:
     def test_invalid_shard_count(self):
         with pytest.raises(ServeError):
             FanoutDispatcher(shards=0)
+
+
+_CLIENTS = ["c0", "c1", "c2"]
+_dispatch_op = st.tuples(st.just("dispatch"), st.integers(0, 5000),
+                         st.lists(st.sampled_from(_CLIENTS), max_size=4))
+_poll_op = st.tuples(st.just("poll"), st.sampled_from(_CLIENTS),
+                     st.integers(0, 5000), st.integers(-1, 6))
+# Membership changes are rarer than traffic, so that queues live long
+# enough to fill, drop, drain and get evicted.
+_fanout_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["add", "remove"]),
+              st.sampled_from(_CLIENTS)),
+    _dispatch_op, _dispatch_op, _poll_op,
+), min_size=20, max_size=80)
+
+
+def _fanout_state(dispatcher):
+    metrics = dispatcher.metrics
+    lag, depth = metrics.delivery_lag, metrics.queue_depth
+    return (metrics.snapshot(), dispatcher.shard_loads(),
+            dispatcher.delivered_counts(), dispatcher.pending(),
+            [dispatcher.pending(c) for c in _CLIENTS],
+            [dispatcher.is_evicted(c) for c in _CLIENTS],
+            dispatcher.active_clients(),
+            (lag.buckets, lag.total, depth.buckets, depth.total))
+
+
+class TestFanoutMatchesOracle:
+    @given(shards=st.integers(1, 4), depth=st.integers(1, 4),
+           evict=st.integers(1, 5), ops=_fanout_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_same_batches_errors_and_metrics(self, shards, depth, evict,
+                                             ops):
+        """The one-lookup, batch-draining dispatcher behaves exactly
+        like the per-client reference on any call sequence, drops and
+        evictions included."""
+        fast = FanoutDispatcher(shards=shards, max_queue_depth=depth,
+                                evict_after_drops=evict)
+        slow = OracleDispatcher(shards=shards, max_queue_depth=depth,
+                                evict_after_drops=evict)
+        ops = [("add", client_id) for client_id in _CLIENTS] + ops
+        for n, op in enumerate(ops):
+            if op[0] == "add":
+                fast.add_client(op[1])
+                slow.add_client(op[1])
+            elif op[0] == "remove":
+                fast.remove_client(op[1])
+                slow.remove_client(op[1])
+            elif op[0] == "dispatch":
+                rec = record(n, seen_at=op[1])
+                assert (fast.dispatch(rec, op[2])
+                        == slow.dispatch(rec, op[2], now=op[1]))
+            else:
+                outcomes = []
+                for dispatcher in (fast, slow):
+                    try:
+                        outcomes.append(dispatcher.poll(
+                            op[1], now=op[2], max_records=op[3]))
+                    except (EvictedClientError, UnknownClientError) as exc:
+                        outcomes.append(type(exc))
+                assert outcomes[0] == outcomes[1]
+            assert _fanout_state(fast) == _fanout_state(slow)
 
 
 # --------------------------------------------------------------------------
